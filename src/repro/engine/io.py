@@ -83,7 +83,8 @@ class IoWrite:
         self.priority = priority
         self.seq = seq
         self.scopes = scopes
-        #: lazily-deleted from the heap once claimed, merged or forced.
+        #: lazily-deleted from the heap once claimed, merged or forced
+        #: (a request taken off the worker path also drops its bytes).
         self.taken = False
 
     def __repr__(self) -> str:
@@ -180,6 +181,10 @@ class IoScheduler:
         #: submitters sleep here for completions (flush / force).
         self._done = threading.Condition(self._mutex)
         self._heap: List[Tuple[int, int, IoWrite]] = []
+        #: heap entries already taken off the worker path (merged,
+        #: forced, superseded, discarded) and not yet popped; the heap
+        #: is compacted once they outnumber the live ones.
+        self._stale = 0
         #: (id(mapper), key) -> queued requests, for overlap lookups.
         self._queued: Dict[Tuple[int, int], List[IoWrite]] = {}
         #: (id(mapper), key) -> requests a worker is executing.
@@ -343,7 +348,8 @@ class IoScheduler:
         fires: List[IoScope] = []
         with self._mutex:
             for request in self._queued.pop(mapper_key, []):
-                request.taken = True
+                self._take_locked(request)
+                request.fragments = []
                 self._depth -= 1
                 self._pending_bytes -= request.size
                 self.stats["superseded"] += 1
@@ -491,10 +497,11 @@ class IoScheduler:
         for request in touching:
             if request is base:
                 continue
-            request.taken = True
+            self._take_locked(request)
             queued.remove(request)
             self._depth -= 1
             base.fragments.extend(request.fragments)
+            request.fragments = []
             base.size += request.size
             base.scopes.extend(request.scopes)
             request.scopes = []
@@ -524,13 +531,14 @@ class IoScheduler:
             if queued:
                 for request in [r for r in queued
                                 if r.offset < hi and lo < r.end]:
-                    request.taken = True
+                    self._take_locked(request)
                     queued.remove(request)
                     self._depth -= 1
                     self._pending_bytes -= request.size
                     if supersede and lo <= request.offset \
                             and request.end <= hi:
                         # Fully covered by newer data: never executes.
+                        request.fragments = []
                         self.stats["superseded"] += 1
                         fires.extend(self._settle_locked(request))
                     else:
@@ -549,6 +557,7 @@ class IoScheduler:
         for request in sorted(to_run,
                               key=lambda r: (r.priority, r.seq)):
             self._execute_request(request)
+            request.fragments = []
             self._finish(request)
 
     def _wait_executing(self, mapper, key: int, lo: int, hi: int) -> None:
@@ -557,6 +566,20 @@ class IoScheduler:
             while any(r.offset < hi and lo < r.end
                       for r in self._executing.get(mapper_key, ())):
                 self._done.wait()
+
+    def _take_locked(self, request: IoWrite) -> None:
+        """Claim a queued request off the worker path (mutex held).
+        Its heap entry goes stale; once stale entries outnumber live
+        ones the heap is rebuilt without them, so forced and superseded
+        writes cannot pile up.  Live entries keep their (priority,
+        sequence) keys, so the drain order is unchanged."""
+        request.taken = True
+        self._stale += 1
+        heap = self._heap
+        if self._stale * 2 > len(heap):
+            self._heap = [item for item in heap if not item[2].taken]
+            heapq.heapify(self._heap)
+            self._stale = 0
 
     def _settle_locked(self, request: IoWrite) -> List[IoScope]:
         """Completion bookkeeping (mutex held); returns scopes whose
@@ -586,6 +609,7 @@ class IoScheduler:
                         _, _, candidate = self._heap[0]
                         if candidate.taken:
                             heapq.heappop(self._heap)
+                            self._stale -= 1
                             continue
                         request = candidate
                         break

@@ -74,18 +74,20 @@ class InvertedMMU(MMU):
         table = self._entries
         index = self._by_space[space]
         touched = []
-        for vaddr, frame, prot in entries:
-            if prot == Prot.NONE:
-                raise InvalidOperation(
-                    "mapping with no access bits; use unmap")
-            vpn = self.vpn(vaddr)
-            key = (space, vpn)
-            if key not in table:
-                index.add(vpn)
-            table[key] = Mapping(frame, prot)
-            touched.append(vpn)
-        if touched and self.tlb is not None:
-            self.tlb.invalidate_batch(space, touched)
+        try:
+            for vaddr, frame, prot in entries:
+                if prot == Prot.NONE:
+                    raise InvalidOperation(
+                        "mapping with no access bits; use unmap")
+                vpn = self.vpn(vaddr)
+                key = (space, vpn)
+                if key not in table:
+                    index.add(vpn)
+                table[key] = Mapping(frame, prot)
+                touched.append(vpn)
+        finally:
+            if touched:
+                self._shootdown(space, touched)
 
     def unmap_batch(self, space: int, vaddrs) -> int:
         """Bulk unmap: straight hash deletes."""
@@ -99,8 +101,8 @@ class InvertedMMU(MMU):
                 continue
             index.discard(vpn)
             dropped.append(vpn)
-        if dropped and self.tlb is not None:
-            self.tlb.invalidate_batch(space, dropped)
+        if dropped:
+            self._shootdown(space, dropped)
         return len(dropped)
 
     def protect_batch(self, space: int, items) -> None:
@@ -109,19 +111,22 @@ class InvertedMMU(MMU):
         self._check_space(space)
         table = self._entries
         touched = []
-        for vaddr, prot in items:
-            vpn = self.vpn(vaddr)
-            key = (space, vpn)
-            self.stats.add("hash_probe")
-            mapping = table.get(key)
-            if mapping is None:
-                raise InvalidOperation(
-                    f"protect: no mapping at {vaddr:#x} in space {space}"
-                )
-            table[key] = Mapping(mapping.frame, prot)
-            touched.append(vpn)
-        if touched and self.tlb is not None:
-            self.tlb.invalidate_batch(space, touched)
+        try:
+            for vaddr, prot in items:
+                vpn = self.vpn(vaddr)
+                key = (space, vpn)
+                self.stats.add("hash_probe")
+                mapping = table.get(key)
+                if mapping is None:
+                    raise InvalidOperation(
+                        f"protect: no mapping at {vaddr:#x} in space "
+                        f"{space}"
+                    )
+                table[key] = Mapping(mapping.frame, prot)
+                touched.append(vpn)
+        finally:
+            if touched:
+                self._shootdown(space, touched)
 
     # -- introspection -------------------------------------------------------------
 

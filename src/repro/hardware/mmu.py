@@ -8,6 +8,13 @@ ports are provided: :class:`~repro.hardware.paged_mmu.PagedMMU`
 :class:`~repro.hardware.inverted_mmu.InvertedMMU` (hashed inverted
 table, custom-MMU style).  Both enforce identical semantics; only the
 internal organisation — and hence the walk statistics — differ.
+
+Every translation change, in every port, is published through one
+base-class helper, :meth:`MMU._shootdown`: it moves :attr:`MMU.epoch`
+and shoots down the TLB in the same call.  "Has any translation
+changed since I last looked?" thus has a single answer owned by the
+port, which is what lets the vectorized bus keep its page
+classification across replays.
 """
 
 from __future__ import annotations
@@ -112,6 +119,13 @@ class MMU:
         self._next_space = 1
         self._live_spaces: set = set()
         self.tlb = tlb
+        #: Translation epoch: moves on every change to any space's
+        #: translations (map, unmap, protect, space teardown, segment
+        #: limit).  A caller that derived state from the tables — the
+        #: vectorized bus's page classification — may keep it for as
+        #: long as the epoch stands still.  Only :meth:`_shootdown`
+        #: moves it.
+        self.epoch = 0
         #: Walk statistics.  Labeled by port so that, once bound into a
         #: shared registry, each statistic appears both as the plain
         #: ``mmu.<name>`` rollup and as ``mmu.<name>{port=...}``.
@@ -140,8 +154,7 @@ class MMU:
     def destroy_space(self, space: int) -> None:
         """Drop every translation of *space* and invalidate it."""
         self._check_space(space)
-        if self.tlb is not None:
-            self.tlb.flush_space(space)
+        self._shootdown(space, None)
         self._drop_space(space)
         self._live_spaces.remove(space)
 
@@ -152,6 +165,28 @@ class MMU:
     def _check_space(self, space: int) -> None:
         if space not in self._live_spaces:
             raise InvalidOperation(f"address space {space} does not exist")
+
+    def _shootdown(self, space: int, pages) -> None:
+        """Publish a translation change of *space*: move :attr:`epoch`
+        and drop the TLB entries that may cache the old translation.
+
+        Every mutation path calls this, so neither half can happen
+        without the other.  *pages* is one vpn (an int), a ``range`` of
+        vpns (one range shootdown), any other iterable of vpns, or None
+        for the whole space.
+        """
+        self.epoch += 1
+        tlb = self.tlb
+        if tlb is None:
+            return
+        if pages is None:
+            tlb.flush_space(space)
+        elif isinstance(pages, int):
+            tlb.invalidate(space, pages)
+        elif isinstance(pages, range):
+            tlb.invalidate_range(space, pages.start, len(pages))
+        else:
+            tlb.invalidate_batch(space, pages)
 
     # -- mapping operations ------------------------------------------------------
 
@@ -166,16 +201,15 @@ class MMU:
             raise InvalidOperation("mapping with no access bits; use unmap")
         vpn = self.vpn(vaddr)
         self._set_entry(space, vpn, Mapping(frame, prot))
-        if self.tlb is not None:
-            self.tlb.invalidate(space, vpn)
+        self._shootdown(space, vpn)
 
     def unmap(self, space: int, vaddr: int) -> bool:
         """Remove the translation for the page of *vaddr*; True if present."""
         self._check_space(space)
         vpn = self.vpn(vaddr)
         existed = self._del_entry(space, vpn)
-        if existed and self.tlb is not None:
-            self.tlb.invalidate(space, vpn)
+        if existed:
+            self._shootdown(space, vpn)
         return existed
 
     def unmap_range(self, space: int, vaddr: int, size: int) -> int:
@@ -201,8 +235,8 @@ class MMU:
         for vpn in vpns:
             if self._del_entry(space, vpn):
                 dropped.append(vpn)
-        if dropped and self.tlb is not None:
-            self.tlb.invalidate_batch(space, dropped)
+        if dropped:
+            self._shootdown(space, dropped)
         return len(dropped)
 
     # -- batched operations (the hardware layer's bulk primitives) ------------------
@@ -225,8 +259,7 @@ class MMU:
         vpn = self.vpn(vaddr)
         for index in range(count):
             self._set_entry(space, vpn + index, Mapping(frame + index, prot))
-        if self.tlb is not None:
-            self.tlb.invalidate_range(space, vpn, count)
+        self._shootdown(space, range(vpn, vpn + count))
 
     def protect_range(self, space: int, vaddr: int, count: int,
                       prot: Prot) -> None:
@@ -250,15 +283,17 @@ class MMU:
         """
         self._check_space(space)
         touched = []
-        for vaddr, frame, prot in entries:
-            if prot == Prot.NONE:
-                raise InvalidOperation(
-                    "mapping with no access bits; use unmap")
-            vpn = self.vpn(vaddr)
-            self._set_entry(space, vpn, Mapping(frame, prot))
-            touched.append(vpn)
-        if touched and self.tlb is not None:
-            self.tlb.invalidate_batch(space, touched)
+        try:
+            for vaddr, frame, prot in entries:
+                if prot == Prot.NONE:
+                    raise InvalidOperation(
+                        "mapping with no access bits; use unmap")
+                vpn = self.vpn(vaddr)
+                self._set_entry(space, vpn, Mapping(frame, prot))
+                touched.append(vpn)
+        finally:
+            if touched:
+                self._shootdown(space, touched)
 
     def unmap_batch(self, space: int, vaddrs) -> int:
         """Remove many translations at once; return how many existed."""
@@ -268,8 +303,8 @@ class MMU:
             vpn = self.vpn(vaddr)
             if self._del_entry(space, vpn):
                 dropped.append(vpn)
-        if dropped and self.tlb is not None:
-            self.tlb.invalidate_batch(space, dropped)
+        if dropped:
+            self._shootdown(space, dropped)
         return len(dropped)
 
     def protect_batch(self, space: int, items) -> None:
@@ -280,17 +315,21 @@ class MMU:
         """
         self._check_space(space)
         touched = []
-        for vaddr, prot in items:
-            vpn = self.vpn(vaddr)
-            mapping = self._entry(space, vpn)
-            if mapping is None:
-                raise InvalidOperation(
-                    f"protect: no mapping at {vaddr:#x} in space {space}"
-                )
-            self._set_entry(space, vpn, Mapping(mapping.frame, prot))
-            touched.append(vpn)
-        if touched and self.tlb is not None:
-            self.tlb.invalidate_batch(space, touched)
+        try:
+            for vaddr, prot in items:
+                vpn = self.vpn(vaddr)
+                mapping = self._entry(space, vpn)
+                if mapping is None:
+                    raise InvalidOperation(
+                        f"protect: no mapping at {vaddr:#x} in space "
+                        f"{space}"
+                    )
+                self._set_entry(space, vpn, Mapping(mapping.frame, prot))
+                touched.append(vpn)
+        finally:
+            # Pages re-protected before a hole raised are changed too.
+            if touched:
+                self._shootdown(space, touched)
 
     def protect(self, space: int, vaddr: int, prot: Prot) -> None:
         """Change the protection of an existing translation."""
@@ -302,8 +341,7 @@ class MMU:
                 f"protect: no mapping at {vaddr:#x} in space {space}"
             )
         self._set_entry(space, vpn, Mapping(mapping.frame, prot))
-        if self.tlb is not None:
-            self.tlb.invalidate(space, vpn)
+        self._shootdown(space, vpn)
 
     def lookup(self, space: int, vaddr: int) -> Optional[Mapping]:
         """Return the mapping of the page of *vaddr*, if any (no fault)."""

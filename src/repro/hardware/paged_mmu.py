@@ -166,8 +166,7 @@ class PagedMMU(MMU):
         table.set_run(vpn, count, frame, prot)
         after = self._bucket_pages(table, vpn, vpn + count)
         self._apply_bucket_delta(space, before, after)
-        if self.tlb is not None:
-            self.tlb.invalidate_range(space, vpn, count)
+        self._shootdown(space, range(vpn, vpn + count))
 
     def protect_range(self, space: int, vaddr: int, count: int,
                       prot: Prot) -> None:
@@ -185,13 +184,12 @@ class PagedMMU(MMU):
         limit = end_vpn if gap is None else gap
         if limit > start_vpn:
             table.set_attr_range(start_vpn, limit, prot)
+            self._shootdown(space, range(start_vpn, limit))
         if gap is not None:
             raise InvalidOperation(
                 f"protect: no mapping at {gap << self._page_shift:#x} "
                 f"in space {space}"
             )
-        if self.tlb is not None:
-            self.tlb.invalidate_range(space, start_vpn, count)
 
     def unmap_range(self, space: int, vaddr: int, size: int) -> int:
         """Range unmap in O(runs overlapped): trim/splice the run map,
@@ -206,9 +204,7 @@ class PagedMMU(MMU):
         dropped = table.clear_range(start_vpn, end_vpn + 1)
         if dropped:
             self._apply_bucket_delta(space, before, {})
-            if self.tlb is not None:
-                self.tlb.invalidate_range(space, start_vpn,
-                                          end_vpn - start_vpn + 1)
+            self._shootdown(space, range(start_vpn, end_vpn + 1))
         return dropped
 
     # -- batched operations ----------------------------------------------------------
@@ -242,9 +238,7 @@ class PagedMMU(MMU):
             table.set_run(vpn, count, frame, prot)
             after = self._bucket_pages(table, vpn, vpn + count)
             self._apply_bucket_delta(space, before, after)
-        if spans and self.tlb is not None:
-            for vpn, count, _, _ in spans:
-                self.tlb.invalidate_range(space, vpn, count)
+            self._shootdown(space, range(vpn, vpn + count))
 
     def unmap_batch(self, space: int, vaddrs) -> int:
         """Bulk unmap: the addresses coalesce into range clears."""
@@ -268,9 +262,9 @@ class PagedMMU(MMU):
             if removed:
                 self._apply_bucket_delta(space, before, {})
                 dropped += removed
-        if dropped and self.tlb is not None:
+        if dropped:
             for start, count in spans:
-                self.tlb.invalidate_range(space, start, count)
+                self._shootdown(space, range(start, start + count))
         return dropped
 
     # -- introspection -------------------------------------------------------------

@@ -1,13 +1,22 @@
 """Byte-accurate simulated physical memory with a frame allocator.
 
-Real memory is a single ``bytearray`` divided into page frames.  Frame
-numbers are plain integers; the PVM's real page descriptors carry them.
-Data is held for real — copy-on-write correctness in the test suite is
-asserted on actual byte contents, not on bookkeeping alone.
+Real memory is a single anonymous private memory mapping divided into
+page frames.  Frame numbers are plain integers; the PVM's real page
+descriptors carry them.  Data is held for real — copy-on-write
+correctness in the test suite is asserted on actual byte contents, not
+on bookkeeping alone.
+
+The mapping, rather than a ``bytearray``, keeps the host footprint
+honest: a frame costs host memory only once it is touched (a
+``bytearray`` of the RAM size is zero-filled, so every frame is
+resident at once), and building or dropping a system never passes its
+RAM through the C allocator, whose mmap threshold would otherwise rise
+to the RAM size and push later multi-megabyte buffers onto the heap.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import List, Optional, Set
 
 from repro.errors import BusError, InvalidOperation, OutOfFrames
@@ -36,7 +45,7 @@ class PhysicalMemory:
         self.page_size = page_size
         self.size = size
         self.total_frames = size // page_size
-        self._ram = bytearray(size)
+        self._ram = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self._free: List[int] = list(range(self.total_frames - 1, -1, -1))
         self._allocated: Set[int] = set()
 

@@ -154,25 +154,27 @@ class SegmentedMMU(MMU):
         limit = descriptor.limit
         directory = self._directories[space]
         touched = []
-        for vaddr, frame, prot in entries:
-            if prot == Prot.NONE:
-                raise InvalidOperation(
-                    "mapping with no access bits; use unmap")
-            vpn = self.vpn(vaddr)
-            if vpn << self._page_shift >= limit:
-                raise InvalidOperation(
-                    f"virtual page {vpn:#x} beyond the segment limit "
-                    f"({limit:#x})"
-                )
-            hi, lo = self._split(self._linear_vpn(space, vpn))
-            table = directory.get(hi)
-            if table is None:
-                table = directory[hi] = {}
-                self.stats.add("table_alloc")
-            table[lo] = Mapping(frame, prot)
-            touched.append(vpn)
-        if touched and self.tlb is not None:
-            self.tlb.invalidate_batch(space, touched)
+        try:
+            for vaddr, frame, prot in entries:
+                if prot == Prot.NONE:
+                    raise InvalidOperation(
+                        "mapping with no access bits; use unmap")
+                vpn = self.vpn(vaddr)
+                if vpn << self._page_shift >= limit:
+                    raise InvalidOperation(
+                        f"virtual page {vpn:#x} beyond the segment limit "
+                        f"({limit:#x})"
+                    )
+                hi, lo = self._split(self._linear_vpn(space, vpn))
+                table = directory.get(hi)
+                if table is None:
+                    table = directory[hi] = {}
+                    self.stats.add("table_alloc")
+                table[lo] = Mapping(frame, prot)
+                touched.append(vpn)
+        finally:
+            if touched:
+                self._shootdown(space, touched)
 
     def unmap_batch(self, space: int, vaddrs) -> int:
         """Bulk unmap on the linear page tables."""
@@ -189,8 +191,8 @@ class SegmentedMMU(MMU):
             if not table:
                 del directory[hi]
             dropped.append(vpn)
-        if dropped and self.tlb is not None:
-            self.tlb.invalidate_batch(space, dropped)
+        if dropped:
+            self._shootdown(space, dropped)
         return len(dropped)
 
     # -- introspection --------------------------------------------------------------
@@ -200,5 +202,11 @@ class SegmentedMMU(MMU):
         return self._descriptors[space]
 
     def set_segment_limit(self, space: int, limit: int) -> None:
-        """Shrink/grow a space's flat segment (tests the limit check)."""
+        """Shrink/grow a space's flat segment (tests the limit check).
+
+        A limit change alters which translations succeed, so it
+        publishes a change of the whole space: cached TLB entries above
+        a shrunken limit must not keep translating."""
+        self._check_space(space)
         self._descriptors[space].limit = limit
+        self._shootdown(space, None)

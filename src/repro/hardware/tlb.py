@@ -126,7 +126,9 @@ class TLB:
 
         Counter totals, entry order and occupancy are bit-identical to
         a per-vpn ``probe``/``fill`` loop; only the number of registry
-        increments differs.
+        increments differs.  An access repeating the vpn whose entry is
+        already most-recently used is a hit that changes no state, so
+        it is only counted.
         """
         gen = self._space_gen.get(space, 0)
         space_gen_get = self._space_gen.get
@@ -143,14 +145,21 @@ class TLB:
         if base:
             vpns = [vpn + base for vpn in vpns]
         hits = run_hits = misses = evicts = 0
+        # The vpn whose live entry is at the MRU end (run-entry hits
+        # leave the entry order alone, so they never set it).
+        mru = None
         try:
             for vpn in vpns:
+                if vpn == mru:
+                    hits += 1
+                    continue
                 key = (space, vpn)
                 entry = entries_get(key)
                 if entry is not None:
                     if entry[1] == gen:
                         move_to_end(key)
                         hits += 1
+                        mru = vpn
                         continue
                     # Stale: the eager TLB would already have dropped it.
                     del entries[key]
@@ -173,6 +182,7 @@ class TLB:
                 keys_add(key)
                 live += 1
                 entries[key] = (walk(vpn), gen)
+                mru = vpn
         finally:
             self._live = live
             # Guarded adds: a counter the scalar loop never created

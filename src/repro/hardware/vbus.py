@@ -35,10 +35,26 @@ What makes bulk retirement safe: a *hit* (mapped page whose protection
 admits the access) has **no** side effects on the manager above the
 hardware — no clock charges, no descriptor updates, no residency
 changes — so hits commute with each other and only their aggregate
-counts are observable.  Mappings can change *only* inside fault
-handling (the manager mutates tables exclusively while resolving a
-trap), so the classification cache is dropped after every scalar
-fallback and is otherwise trustworthy.
+counts are observable.
+
+The **epoch contract** decides how long a classification stays true.
+The bus keeps one cache — per (space, base page, mode) the dense
+``ok_read``/``ok_write`` tables and the :class:`~repro.hardware.mmu.
+Mapping` objects used for TLB fills and write frames — *across*
+``replay()`` calls, stamped with the :attr:`MMU.epoch
+<repro.hardware.mmu.MMU.epoch>` it was built at.  Every translation
+change of every port (map, unmap, protect, space teardown, segment
+limit) moves that one integer through ``MMU._shootdown``, the same
+call that shoots the TLB down, so a change anywhere — inside fault
+handling or between two replays — is seen before the next segment
+classifies anything: a moved epoch clears the whole cache, never just
+the touched space, so it can neither outlive a mapping change nor
+hold on to dead spaces.  A replay with no change since the last one
+calls ``peek`` zero times.  Independently, every scalar fallback still
+drops the cache and the per-segment *written* set, because the fault
+it ran may have rewritten frames as well as tables.  The written set
+never outlives a segment: bytes can change without a translation
+change.
 
 Layering: this module is part of ``repro.hardware`` and, like the rest
 of the hardware layer, imports no backend, engine or cache code
@@ -49,7 +65,7 @@ installed fault handler, exactly as the scalar bus does.
 from __future__ import annotations
 
 from array import array
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import InvalidOperation
 from repro.fastpath import get_numpy
@@ -63,6 +79,26 @@ BATCH = 1 << 16
 #: Dense classification tables are only worth it up to this page span;
 #: a sparser trace falls back to the dict-cached engine.
 MAX_DENSE_PAGES = 1 << 24
+
+
+class _Classes:
+    """Cached classification of one (space, base_vpn, supervisor) view.
+
+    ``info`` maps a page number relative to the view's base to its
+    (read ok, write ok) pair; ``mappings`` maps the *absolute* vpn to
+    its :class:`~repro.hardware.mmu.Mapping` (so its ``__getitem__`` is
+    the TLB walk callback); ``ok_read``/``ok_write`` are the numpy
+    engine's dense tables over the same relative page numbers (-1
+    unknown / 0 deny / 1 allow), None until that engine first runs.
+    """
+
+    __slots__ = ("info", "mappings", "ok_read", "ok_write")
+
+    def __init__(self):
+        self.info: Dict[int, Tuple[bool, bool]] = {}
+        self.mappings: Dict[int, object] = {}
+        self.ok_read = None
+        self.ok_write = None
 
 
 class VectorBus:
@@ -94,6 +130,9 @@ class VectorBus:
                 "against it")
         self._np = get_numpy(use_numpy)
         self.stats = EventCounter(registry=registry, namespace="vbus.")
+        #: The classification cache and the MMU epoch it is valid for.
+        self._cache: Dict[Tuple[int, int, bool], _Classes] = {}
+        self._epoch = self.mmu.epoch
 
     @property
     def backend(self) -> str:
@@ -157,18 +196,38 @@ class VectorBus:
 
     # -- classification -------------------------------------------------------
 
-    def _classify(self, space: int, vpn: int,
-                  supervisor: bool) -> Tuple[bool, bool, object]:
-        """(read ok, write ok, mapping) for one page — stat-free."""
+    def _classes(self, space: int, base_vpn: int,
+                 supervisor: bool) -> _Classes:
+        """The cached classification of one view, valid at the MMU's
+        current epoch: a moved epoch clears the whole cache first."""
+        epoch = self.mmu.epoch
+        if epoch != self._epoch:
+            self._cache.clear()
+            self._epoch = epoch
+        key = (space, base_vpn, supervisor)
+        classes = self._cache.get(key)
+        if classes is None:
+            classes = self._cache[key] = _Classes()
+        return classes
+
+    def _learn(self, classes: _Classes, space: int, vpn_rel: int,
+               base_vpn: int, supervisor: bool) -> Tuple[bool, bool]:
+        """Classify one page into *classes* — stat-free; returns
+        (read ok, write ok)."""
+        vpn = vpn_rel + base_vpn
         mmu = self.mmu
         mmu._check_space(space)
         mapping = mmu.peek(space, vpn)
         if mapping is None:
-            return (False, False, None)
-        bits = mapping.bits
-        if bits & _SYSTEM_BIT and not supervisor:
-            return (False, False, mapping)
-        return (bool(bits & _READ_BIT), bool(bits & _WRITE_BIT), mapping)
+            info = (False, False)
+        elif mapping.bits & _SYSTEM_BIT and not supervisor:
+            info = (False, False)
+        else:
+            bits = mapping.bits
+            info = (bool(bits & _READ_BIT), bool(bits & _WRITE_BIT))
+        classes.info[vpn_rel] = info
+        classes.mappings[vpn] = mapping
+        return info
 
     # -- shared retirement pieces ---------------------------------------------
 
@@ -236,11 +295,11 @@ class VectorBus:
         memory = self.memory
         page_size = self.mmu.page_size
         shift = self.mmu._page_shift
-        classify = self._classify
-        cls: dict = {}
-        cls_get = cls.get
+        learn = self._learn
+        classes = self._classes(space, base_vpn, supervisor)
+        cls_get = classes.info.get
+        mappings = classes.mappings
         written: set = set()
-        walk = lambda vpn: cls[vpn - base_vpn][2]  # noqa: E731
         reads = writes_n = fast = fallback = batches = 0
         i = start
         try:
@@ -251,16 +310,15 @@ class VectorBus:
                     vpn_rel = pages[j]
                     info = cls_get(vpn_rel)
                     if info is None:
-                        info = classify(space, vpn_rel + base_vpn,
-                                        supervisor)
-                        cls[vpn_rel] = info
+                        info = learn(classes, space, vpn_rel, base_vpn,
+                                     supervisor)
                     if not (info[1] if writes[j] else info[0]):
                         break
                     j += 1
                 if j > i:
                     # 2. retire the hit run in bulk.
-                    self._retire_tlb(space, pages[i:j], walk, j - i,
-                                     base_vpn)
+                    self._retire_tlb(space, pages[i:j],
+                                     mappings.__getitem__, j - i, base_vpn)
                     # Write pass: C-speed scan for the set flags, one
                     # fill-byte store per page not yet written.
                     wcount = 0
@@ -272,8 +330,8 @@ class VectorBus:
                         if vpn_rel not in written:
                             written.add(vpn_rel)
                             memory.write(
-                                cls[vpn_rel][2].frame * page_size,
-                                fill_bytes)
+                                mappings[vpn_rel + base_vpn].frame
+                                * page_size, fill_bytes)
                         pos = wflags.find(1, pos + 1)
                     reads += (j - i) - wcount
                     writes_n += wcount
@@ -289,7 +347,10 @@ class VectorBus:
                                         fill_bytes)
                     fallback += 1
                     i += 1
-                    cls.clear()
+                    self._cache.clear()
+                    classes = self._classes(space, base_vpn, supervisor)
+                    cls_get = classes.info.get
+                    mappings = classes.mappings
                     written.clear()
         finally:
             self._flush(reads, writes_n, batches, fast, fallback)
@@ -313,6 +374,22 @@ class VectorBus:
             return np.frombuffer(seq, dtype=np.uint8)
         return np.asarray(seq, dtype=np.uint8)
 
+    def _dense(self, classes: _Classes, span: int):
+        """The view's dense (ok_read, ok_write) tables, grown to cover
+        at least *span* relative pages (new slots unknown)."""
+        np = self._np
+        ok_read = classes.ok_read
+        if ok_read is not None and ok_read.shape[0] >= span:
+            return ok_read, classes.ok_write
+        grown_read = np.full(span, -1, dtype=np.int8)
+        grown_write = np.zeros(span, dtype=np.int8)
+        if ok_read is not None:
+            held = ok_read.shape[0]
+            grown_read[:held] = ok_read
+            grown_write[:held] = classes.ok_write
+        classes.ok_read, classes.ok_write = grown_read, grown_write
+        return grown_read, grown_write
+
     def _segment_numpy(self, space: int, pages, writes, start: int,
                        end: int, base_vpn: int, supervisor: bool,
                        fill_bytes: bytes) -> Optional[int]:
@@ -322,7 +399,7 @@ class VectorBus:
         memory = self.memory
         page_size = self.mmu.page_size
         shift = self.mmu._page_shift
-        classify = self._classify
+        learn = self._learn
         seg_pages = self._as_i64(pages)[start:end]
         seg_writes = self._as_u8(writes)[start:end]
         lo = int(seg_pages.min())
@@ -331,15 +408,10 @@ class VectorBus:
         span = int(seg_pages.max()) + 1
         if span > MAX_DENSE_PAGES:
             return None
-        # Dense classification tables indexed by relative page number:
-        # ok_* hold -1 (unknown) / 0 (deny) / 1 (allow).  The Mapping
-        # objects themselves (for TLB fills and write frames) live in a
-        # dict keyed the same way.
-        ok_read = np.full(span, -1, dtype=np.int8)
-        ok_write = np.zeros(span, dtype=np.int8)
+        classes = self._classes(space, base_vpn, supervisor)
+        ok_read, ok_write = self._dense(classes, span)
+        walk = classes.mappings.__getitem__
         written = np.zeros(span, dtype=bool)
-        mappings: dict = {}
-        walk = lambda vpn: mappings[vpn - base_vpn]  # noqa: E731
         reads = writes_n = fast = fallback = batches = 0
         n = int(seg_pages.shape[0])
         i = 0
@@ -348,13 +420,13 @@ class VectorBus:
                 take = min(BATCH, n - i)
                 rel = seg_pages[i:i + take]
                 wfl = seg_writes[i:i + take]
-                unknown = np.unique(rel[ok_read[rel] < 0])
-                for vpn_rel in unknown.tolist():
-                    okr, okw, mapping = classify(space, vpn_rel + base_vpn,
-                                                 supervisor)
-                    ok_read[vpn_rel] = 1 if okr else 0
-                    ok_write[vpn_rel] = 1 if okw else 0
-                    mappings[vpn_rel] = mapping
+                unknown = ok_read[rel] < 0
+                if unknown.any():
+                    for vpn_rel in np.unique(rel[unknown]).tolist():
+                        okr, okw = learn(classes, space, vpn_rel,
+                                         base_vpn, supervisor)
+                        ok_read[vpn_rel] = 1 if okr else 0
+                        ok_write[vpn_rel] = 1 if okw else 0
                 allowed = np.where(wfl != 0, ok_write[rel],
                                    ok_read[rel]) == 1
                 blocked = np.flatnonzero(~allowed)
@@ -364,15 +436,17 @@ class VectorBus:
                     run_abs = (run_rel + base_vpn if base_vpn
                                else run_rel).tolist()
                     self._retire_tlb(space, run_abs, walk, run_len)
-                    wcount = int(wfl[:run_len].sum())
+                    run_wfl = wfl[:run_len]
+                    wcount = int(np.count_nonzero(run_wfl))
                     if wcount:
-                        wpages = np.unique(run_rel[wfl[:run_len] != 0])
+                        wpages = np.unique(run_rel[run_wfl != 0])
                         fresh = wpages[~written[wpages]]
                         if fresh.size:
                             written[fresh] = True
-                            for vpn_rel in fresh.tolist():
+                            mappings = classes.mappings
+                            for vpn_abs in (fresh + base_vpn).tolist():
                                 memory.write(
-                                    mappings[vpn_rel].frame * page_size,
+                                    mappings[vpn_abs].frame * page_size,
                                     fill_bytes)
                     reads += run_len - wcount
                     writes_n += wcount
@@ -386,9 +460,13 @@ class VectorBus:
                                         supervisor, fill_bytes)
                     fallback += 1
                     i += 1
-                    ok_read.fill(-1)
+                    # Fresh tables, not a fill: the old arrays belong
+                    # to the dropped cache.
+                    self._cache.clear()
+                    classes = self._classes(space, base_vpn, supervisor)
+                    ok_read, ok_write = self._dense(classes, span)
+                    walk = classes.mappings.__getitem__
                     written.fill(False)
-                    mappings.clear()
         finally:
             self._flush(reads, writes_n, batches, fast, fallback)
         return n

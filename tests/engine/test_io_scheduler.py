@@ -371,3 +371,78 @@ class TestOpaqueMappers:
             assert io.stats["deferred"] == 0
         finally:
             io.close()
+
+
+class TestHeapCompaction:
+    """Requests taken off the worker path (forced, superseded, merged,
+    discarded) leave stale heap entries; they must neither hold their
+    bytes nor pile up without bound."""
+
+    ROUNDS = 200
+
+    def _stale_entries(self, io):
+        return [item[2] for item in io._heap if item[2].taken]
+
+    def _bounded(self, io):
+        stale = self._stale_entries(io)
+        assert len(stale) <= len(io._heap) - len(stale) + 1
+        assert all(request.fragments == [] for request in stale)
+
+    def test_forced_writes_do_not_accumulate(self):
+        mapper = SwapMapper()
+        key = make_segment(mapper)
+        # A watermark nothing reaches: the worker never drains, so
+        # every queued write is later forced by a read.
+        io = IoScheduler(threads=1, wake_bytes=1 << 40)
+        try:
+            for index in range(self.ROUNDS):
+                offset = index * 64
+                payload = bytes((index % 251 + 1,)) * 16
+                with io.classify(WRITE_BEHIND):
+                    io.write_segment(mapper, key, offset, payload)
+                assert io.read_segment(mapper, key, offset, 16) == payload
+                self._bounded(io)
+            assert io.stats["forced"] == self.ROUNDS
+            assert len(io._heap) <= 1
+        finally:
+            io.close()
+
+    def test_superseded_writes_do_not_accumulate(self):
+        mapper = SwapMapper()
+        key = make_segment(mapper)
+        io = IoScheduler(threads=1, wake_bytes=1 << 40)
+        try:
+            # One long-lived queued write elsewhere keeps a live entry
+            # in the heap the whole time.
+            with io.classify(WRITE_BEHIND):
+                io.write_segment(mapper, key, 1 << 20, b"keep")
+            for index in range(self.ROUNDS):
+                with io.classify(WRITE_BEHIND):
+                    io.write_segment(mapper, key, 0, b"old bytes")
+                io.write_segment(mapper, key, 0, b"new bytes")  # DEMAND
+                self._bounded(io)
+            assert io.stats["superseded"] == self.ROUNDS
+            assert len(io._heap) <= 3
+            io.flush()
+            assert mapper.read_range(key, 0, 9) == b"new bytes"
+            assert mapper.read_range(key, 1 << 20, 4) == b"keep"
+        finally:
+            io.close()
+
+    def test_merged_requests_release_their_fragments(self):
+        mapper = SwapMapper()
+        key = make_segment(mapper)
+        io = IoScheduler(threads=1, wake_bytes=1 << 40)
+        try:
+            with io.classify(WRITE_BEHIND):
+                io.write_segment(mapper, key, 0, b"a" * 8)
+                io.write_segment(mapper, key, 16, b"b" * 8)
+                # Bridges both: the later request folds into the first.
+                io.write_segment(mapper, key, 8, b"c" * 8)
+            assert io.depth == 1
+            self._bounded(io)
+            io.flush()
+            assert mapper.read_range(key, 0, 24) == \
+                b"a" * 8 + b"c" * 8 + b"b" * 8
+        finally:
+            io.close()
