@@ -6,7 +6,10 @@ three memory managers, capturing for each (workload, backend) cell:
 
 * **wall_ms** — best-of-N host wall time of the workload body (the
   only machine-dependent number; N fresh systems are built so runs
-  never share caches);
+  never share caches), timed with the metrics registry paused;
+* **wall_ms_instrumented** — host wall time of the one instrumented
+  pass (registry enabled) that supplies the two fields below; over
+  ``wall_ms`` it is the cost of watching, reported, never gated;
 * **virtual_ms** — the deterministic virtual-clock cost of the same
   body (bit-identical from run to run, and unaffected by tracing);
 * **metrics** — the full ``metrics_snapshot()`` document, labeled
@@ -567,7 +570,8 @@ def _retire_io(state: dict) -> None:
 def run_workload(workload: Workload, backend: str, repeats: int = 3,
                  cluster=None, io_threads: int = 0) -> dict:
     """One (workload, backend) cell: best-of-*repeats* wall time, the
-    deterministic virtual time, and a full metrics snapshot."""
+    wall time of the instrumented pass, the deterministic virtual
+    time, and a full metrics snapshot."""
     if backend not in workload.backends:
         raise ValueError(
             f"workload {workload.name!r} does not run on {backend!r}")
@@ -579,27 +583,17 @@ def run_workload(workload: Workload, backend: str, repeats: int = 3,
         state = workload.setup(backend, cluster, io_threads)
         registry = state["vm"].probe.registry
         registry.enabled = False
-        # Sweep the previous repeat's garbage before the timer starts
-        # and keep the collector out of the timed body: a gen-2 pass
-        # landing mid-repeat would be charged to whichever workload
-        # happened to trip it, not the one that produced the garbage.
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
         try:
-            start = time.perf_counter()
-            workload.body(state)
-            wall_ms_all.append((time.perf_counter() - start) * 1000.0)
+            wall_ms_all.append(_timed_body(workload, state))
         finally:
-            if gc_was_enabled:
-                gc.enable()
             registry.enabled = True
             _retire_io(state)
-    # One untimed instrumented pass supplies the golden virtual time
-    # and the full metrics snapshot.
+    # One instrumented pass supplies the golden virtual time and the
+    # full metrics snapshot; its wall time, set against the paused
+    # repeats, is the cost of watching.
     state = workload.setup(backend, cluster, io_threads)
     with ClockRegion(state["clock"]) as timer:
-        workload.body(state)
+        wall_ms_instrumented = _timed_body(workload, state)
     virtual_ms = timer.elapsed
     io = getattr(state["vm"], "io", None)
     if io is not None:
@@ -615,9 +609,28 @@ def run_workload(workload: Workload, backend: str, repeats: int = 3,
         "repeats": repeats,
         "wall_ms": min(wall_ms_all),
         "wall_ms_all": wall_ms_all,
+        "wall_ms_instrumented": wall_ms_instrumented,
         "virtual_ms": virtual_ms,
         "metrics": metrics,
     }
+
+
+def _timed_body(workload: Workload, state: dict) -> float:
+    """Host wall time of one workload body, in ms."""
+    # Sweep the previous pass's garbage before the timer starts and
+    # keep the collector out of the timed body: a gen-2 pass landing
+    # mid-body would be charged to whichever workload happened to
+    # trip it, not the one that produced the garbage.
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        workload.body(state)
+        return (time.perf_counter() - start) * 1000.0
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def run_suite(workloads: Optional[Sequence[str]] = None,
@@ -704,9 +717,11 @@ def compare(baseline: dict, current: dict, threshold: float = 1.5) -> dict:
     rate and memory-stall share (``psi.memory.some.total_ms`` over the
     cell's virtual time) on both sides, the current cell's I/O-queue
     depth peak and coalesce rate (None when that recording predates
-    those gauges), and — for trace-replay cells, which record a
-    ``trace.accesses`` gauge — replayed accesses per second of wall
-    time on both sides.
+    those gauges), the cost of watching on both sides
+    (``wall_ms_instrumented / wall_ms``, None when the recording
+    predates it; reported, never gated), and — for trace-replay cells,
+    which record a ``trace.accesses`` gauge — replayed accesses per
+    second of wall time on both sides.
     """
     baseline_cells = {(cell["workload"], cell["backend"]): cell
                       for cell in baseline["results"]}
@@ -730,6 +745,8 @@ def compare(baseline: dict, current: dict, threshold: float = 1.5) -> dict:
                                                  "io.queue.depth_peak"),
                          "io_coalesce_rate":
                              _gauge(cell, "io.queue.coalesce_rate"),
+                         "baseline_watch_ratio": None,
+                         "watch_ratio": _watch_ratio(cell),
                          "baseline_accesses_per_s": None,
                          "accesses_per_s": _access_rate(cell)})
             continue
@@ -754,6 +771,8 @@ def compare(baseline: dict, current: dict, threshold: float = 1.5) -> dict:
                "stall_fraction": _stall_fraction(cell),
                "io_depth_peak": _gauge(cell, "io.queue.depth_peak"),
                "io_coalesce_rate": _gauge(cell, "io.queue.coalesce_rate"),
+               "baseline_watch_ratio": _watch_ratio(base),
+               "watch_ratio": _watch_ratio(cell),
                "baseline_accesses_per_s": _access_rate(base),
                "accesses_per_s": _access_rate(cell)}
         rows.append(row)
@@ -774,6 +793,9 @@ def compare(baseline: dict, current: dict, threshold: float = 1.5) -> dict:
                          "stall_fraction": None,
                          "io_depth_peak": None,
                          "io_coalesce_rate": None,
+                         "baseline_watch_ratio":
+                             _watch_ratio(baseline_cells[key]),
+                         "watch_ratio": None,
                          "baseline_accesses_per_s":
                              _access_rate(baseline_cells[key]),
                          "accesses_per_s": None})
@@ -805,6 +827,16 @@ def _stall_fraction(cell: dict) -> Optional[float]:
     return total / virtual
 
 
+def _watch_ratio(cell: dict) -> Optional[float]:
+    """Wall time with the registry enabled over wall time paused (None
+    when the recording predates ``wall_ms_instrumented``)."""
+    instrumented = cell.get("wall_ms_instrumented")
+    wall_ms = cell.get("wall_ms")
+    if instrumented is None or not wall_ms:
+        return None
+    return instrumented / wall_ms
+
+
 def _access_rate(cell: dict) -> Optional[float]:
     """Replayed accesses per second of wall time: the cell's
     ``trace.accesses`` gauge over its best wall time (None for cells
@@ -820,6 +852,10 @@ def _format_hit_rate(value: Optional[float]) -> str:
     return "-" if value is None else f"{value * 100:.1f}%"
 
 
+def _format_ratio(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.2f}x"
+
+
 def _format_rate(value: Optional[float]) -> str:
     if value is None:
         return "-"
@@ -832,8 +868,8 @@ def format_compare(report: dict) -> str:
     """Render a compare report as the per-workload delta table."""
     headers = ("workload", "backend", "base ms", "now ms", "ratio",
                "vdrift ms", "tlb base", "tlb now", "stall base",
-               "stall now", "ioq peak", "coalesce", "acc/s base",
-               "acc/s now", "status")
+               "stall now", "ioq peak", "coalesce", "watch base",
+               "watch now", "acc/s base", "acc/s now", "status")
     table = [headers]
     for row in report["rows"]:
         depth_peak = row.get("io_depth_peak")
@@ -854,6 +890,8 @@ def format_compare(report: dict) -> str:
             _format_hit_rate(row.get("stall_fraction")),
             "-" if depth_peak is None else f"{depth_peak:.0f}",
             _format_hit_rate(coalesce),
+            _format_ratio(row.get("baseline_watch_ratio")),
+            _format_ratio(row.get("watch_ratio")),
             _format_rate(row.get("baseline_accesses_per_s")),
             _format_rate(row.get("accesses_per_s")),
             row["status"],
@@ -908,6 +946,8 @@ BENCH_RESULT_SCHEMA = {
                         "type": "array",
                         "items": {"type": "number", "minimum": 0},
                     },
+                    "wall_ms_instrumented": {"type": "number",
+                                             "minimum": 0},
                     "virtual_ms": {"type": "number", "minimum": 0},
                     "metrics": SNAPSHOT_SCHEMA,
                 },

@@ -36,6 +36,7 @@ from repro.cache.descriptor import RealPageDescriptor
 from repro.cache.eviction import EvictionPolicy, SecondChancePolicy
 from repro.cache.residency import ResidencyIndex
 from repro.kernel.clock import CostEvent
+from repro.obs.metrics import series_key
 from repro.pressure import FrameArbiter
 
 
@@ -142,9 +143,10 @@ class CacheEngine:
             probe = vm.probe
             # Labeled: which segment is paying the upcalls, and for what
             # access mode (rolls up into the plain `cache.pull_in` count).
-            probe.count("cache.pull_in", pages, segment=cache.name,
-                        mode=mode_label)
-            probe.count("cache.miss", pages, segment=cache.name)
+            segment = ("segment", cache.name)
+            probe.count(series_key("cache.pull_in", ("mode", mode_label),
+                                   segment), pages)
+            probe.count(series_key("cache.miss", segment), pages)
             if board is not None:
                 board.pulled(pages)
             arbiter = self.arbiter
@@ -186,8 +188,8 @@ class CacheEngine:
             vm.clock.charge(CostEvent.PUSH_OUT)
         cache.stats.push_outs += pages
         probe = vm.probe
-        probe.count("cache.writeback", pages, segment=cache.name,
-                    reason=reason)
+        probe.count(series_key("cache.writeback", ("reason", reason),
+                               ("segment", cache.name)), pages)
         board = getattr(vm, "pressure", None)
         if board is not None:
             board.pushed(pages)
@@ -313,16 +315,18 @@ class CacheEngine:
                     span.set(target=target, freed=len(victims))
             freed = len(victims)
             if freed:
-                vm.probe.count("pageout.evicted", freed,
-                               backend=vm.name, policy=self.policy.name)
+                policy = ("policy", self.policy.name)
+                vm.probe.count(series_key("pageout.evicted",
+                                          ("backend", vm.name), policy),
+                               freed)
                 per_segment: dict = {}
                 for page in victims:
                     per_segment[page.cache] = \
                         per_segment.get(page.cache, 0) + 1
                 for cache, count in per_segment.items():
-                    vm.probe.count("cache.evict", count,
-                                   segment=cache.name,
-                                   policy=self.policy.name)
+                    vm.probe.count(series_key("cache.evict", policy,
+                                              ("segment", cache.name)),
+                                   count)
             return freed
         finally:
             self._reclaiming = False
@@ -348,8 +352,9 @@ class CacheEngine:
                 vm.discard_page(page)
                 dropped += 1
             if dropped:
-                vm.probe.count("cache.evict", dropped,
-                               segment=cache.name, reason=reason)
+                vm.probe.count(series_key("cache.evict", ("reason", reason),
+                                          ("segment", cache.name)),
+                               dropped)
             return dropped
 
     def __repr__(self) -> str:

@@ -12,9 +12,10 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import HardwareFault, PageFault, ProtectionViolation
+from repro.hardware.counters import CounterView
 from repro.hardware.mmu import MMU, FaultRecord
 from repro.hardware.physmem import PhysicalMemory
-from repro.kernel.stats import EventCounter
+from repro.kernel import MetricsRegistry
 
 #: A fault handler resolves the fault (returns) or raises a kernel
 #: exception such as SegmentationFault / AccessViolation.
@@ -34,7 +35,8 @@ class MemoryBus:
         self.memory = memory
         self.mmu = mmu
         self.fault_handler = fault_handler
-        self.stats = EventCounter()
+        #: reads / writes / faults, in a registry of the bus's own.
+        self.stats = CounterView(MetricsRegistry())
 
     def install_fault_handler(self, handler: FaultHandler) -> None:
         """Install the kernel's page-fault entry point."""
@@ -53,15 +55,15 @@ class MemoryBus:
             data = b"".join(
                 memory.read(paddr, chunk[2])
                 for paddr, chunk in zip(paddrs, chunks))
-            self.stats.add("reads")
+            self.stats.registry.inc("reads")
             return data
         for page_vaddr, chunk_off, chunk_len in chunks:
             paddr = self._translate(space, page_vaddr + chunk_off,
                                     write=False, supervisor=supervisor)
             data = self.memory.read(paddr, chunk_len)
-            self.stats.add("reads")
+            self.stats.registry.inc("reads")
             return data
-        self.stats.add("reads")
+        self.stats.registry.inc("reads")
         return b""
 
     def write(self, space: int, vaddr: int, data: bytes,
@@ -76,7 +78,7 @@ class MemoryBus:
             for paddr, chunk in zip(paddrs, chunks):
                 memory.write(paddr, data[pos:pos + chunk[2]])
                 pos += chunk[2]
-            self.stats.add("writes")
+            self.stats.registry.inc("writes")
             return
         pos = 0
         for page_vaddr, chunk_off, chunk_len in chunks:
@@ -84,7 +86,7 @@ class MemoryBus:
                                     write=True, supervisor=supervisor)
             self.memory.write(paddr, data[pos:pos + chunk_len])
             pos += chunk_len
-        self.stats.add("writes")
+        self.stats.registry.inc("writes")
 
     def touch(self, space: int, vaddr: int, write: bool = False) -> None:
         """Access one byte, faulting it in; used by benchmark loops."""
@@ -126,7 +128,7 @@ class MemoryBus:
                 return mmu.translate_batch(space, addrs, write,
                                            supervisor=supervisor)
             except (PageFault, ProtectionViolation) as fault:
-                self.stats.add("faults")
+                self.stats.registry.inc("faults")
                 if self.fault_handler is None:
                     raise
                 record = FaultRecord(
@@ -151,7 +153,7 @@ class MemoryBus:
                 return self.mmu.translate(space, vaddr, write,
                                           supervisor=supervisor)
             except (PageFault, ProtectionViolation) as fault:
-                self.stats.add("faults")
+                self.stats.registry.inc("faults")
                 if self.fault_handler is None:
                     raise
                 record = FaultRecord(

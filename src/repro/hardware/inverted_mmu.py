@@ -27,6 +27,7 @@ class InvertedMMU(MMU):
         self._entries: Dict[Tuple[int, int], Mapping] = {}
         # Per-space key index so destroy_space need not scan the world.
         self._by_space: Dict[int, set] = {}
+        self._probe_key = self.stats.key("hash_probe")
 
     # -- storage hooks ---------------------------------------------------------
 
@@ -38,7 +39,7 @@ class InvertedMMU(MMU):
             del self._entries[(space, vpn)]
 
     def _entry(self, space: int, vpn: int) -> Optional[Mapping]:
-        self.stats.add("hash_probe")
+        self.stats.registry.inc(self._probe_key)
         return self._entries.get((space, vpn))
 
     def peek(self, space: int, vpn: int) -> Optional[Mapping]:
@@ -115,7 +116,7 @@ class InvertedMMU(MMU):
             for vaddr, prot in items:
                 vpn = self.vpn(vaddr)
                 key = (space, vpn)
-                self.stats.add("hash_probe")
+                self.stats.registry.inc(self._probe_key)
                 mapping = table.get(key)
                 if mapping is None:
                     raise InvalidOperation(

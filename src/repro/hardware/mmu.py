@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidOperation, PageFault, ProtectionViolation
-from repro.kernel.stats import EventCounter
+from repro.hardware.counters import CounterView
+from repro.kernel import MetricsRegistry
 from repro.units import is_power_of_two
 
 
@@ -126,11 +127,13 @@ class MMU:
         #: long as the epoch stands still.  Only :meth:`_shootdown`
         #: moves it.
         self.epoch = 0
-        #: Walk statistics.  Labeled by port so that, once bound into a
-        #: shared registry, each statistic appears both as the plain
-        #: ``mmu.<name>`` rollup and as ``mmu.<name>{port=...}``.
-        self.stats = EventCounter(namespace="mmu.",
-                                  labels={"port": self.port_name})
+        #: Walk statistics, in a private registry until
+        #: :meth:`bind_registry`.  Labeled by port so that, in a shared
+        #: registry, each statistic reads both as the plain
+        #: ``mmu.<name>`` rollup and as ``mmu.<name>{port=...}``.  Hot
+        #: paths increment keys precomputed with ``stats.key(name)``.
+        self.stats = CounterView(MetricsRegistry(), "mmu.",
+                                 f"{{port={self.port_name}}}")
 
     def bind_registry(self, registry) -> None:
         """Re-home the walk statistics (and the TLB's, if attached)

@@ -52,6 +52,10 @@ class PagedMMU(MMU):
         # space -> directory index -> mapped-page count: which second-
         # level tables a classic two-level port would have allocated.
         self._buckets: Dict[int, Dict[int, int]] = {}
+        key = self.stats.key
+        self._walk_keys = (key("walk_level1"), key("walk_level2"))
+        self._alloc_key = key("table_alloc")
+        self._free_key = key("table_free")
 
     # -- storage hooks ---------------------------------------------------------
 
@@ -71,10 +75,10 @@ class PagedMMU(MMU):
         occupancy = buckets.get(hi, 0) + delta
         if occupancy > 0:
             if hi not in buckets:
-                self.stats.add("table_alloc")
+                self.stats.registry.inc(self._alloc_key)
             buckets[hi] = occupancy
         elif buckets.pop(hi, None) is not None:
-            self.stats.add("table_free")
+            self.stats.registry.inc(self._free_key)
 
     def _bucket_pages(self, table: RunMap, start_vpn: int,
                       end_vpn: int) -> Dict[int, int]:
@@ -103,16 +107,18 @@ class PagedMMU(MMU):
             occupancy = buckets.get(hi, 0) + delta
             if occupancy > 0:
                 if hi not in buckets:
-                    self.stats.add("table_alloc")
+                    self.stats.registry.inc(self._alloc_key)
                 buckets[hi] = occupancy
             elif buckets.pop(hi, None) is not None:
-                self.stats.add("table_free")
+                self.stats.registry.inc(self._free_key)
 
     def _entry(self, space: int, vpn: int) -> Optional[Mapping]:
-        self.stats.add("walk_level1")
+        inc = self.stats.registry.inc
+        level1, level2 = self._walk_keys
+        inc(level1)
         if (vpn >> TABLE_BITS) not in self._buckets[space]:
             return None
-        self.stats.add("walk_level2")
+        inc(level2)
         hit = self._tables[space].get(vpn)
         if hit is None:
             return None

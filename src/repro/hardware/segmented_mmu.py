@@ -62,6 +62,8 @@ class SegmentedMMU(MMU):
         self._descriptors: Dict[int, SegmentDescriptor] = {}
         #: space -> directory -> table -> Mapping (on linear VPNs).
         self._directories: Dict[int, Dict[int, Dict[int, Mapping]]] = {}
+        self._check_key = self.stats.key("descriptor_check")
+        self._walk_key = self.stats.key("page_walk")
 
     # -- storage hooks ---------------------------------------------------------
 
@@ -80,7 +82,7 @@ class SegmentedMMU(MMU):
 
     def _linear_vpn(self, space: int, vpn: int) -> int:
         descriptor = self._descriptors[space]
-        self.stats.add("descriptor_check")
+        self.stats.registry.inc(self._check_key)
         # The limit check happens per access in translate(); here we
         # only relocate the page number into the linear space.
         return (descriptor.base >> self._page_shift) + vpn
@@ -95,7 +97,7 @@ class SegmentedMMU(MMU):
         table = self._directories[space].get(hi)
         if table is None:
             return None
-        self.stats.add("page_walk")
+        self.stats.registry.inc(self._walk_key)
         return table.get(lo)
 
     def peek(self, space: int, vpn: int) -> Optional[Mapping]:

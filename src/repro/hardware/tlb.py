@@ -29,8 +29,9 @@ from bisect import bisect_right, insort
 from collections import OrderedDict, deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.hardware.counters import CounterView
 from repro.hardware.mmu import Mapping
-from repro.kernel.stats import EventCounter
+from repro.kernel import MetricsRegistry
 
 
 class TLB:
@@ -54,7 +55,8 @@ class TLB:
         self._runs: Dict[int, List[List[int]]] = {}
         self._run_fifo: "deque[Tuple[int, int]]" = deque()
         self._run_count = 0
-        self.stats = EventCounter(registry=registry, namespace="tlb.")
+        #: ``tlb.*`` counters; the hot paths increment the literal keys.
+        self.stats = CounterView(registry or MetricsRegistry(), "tlb.")
 
     def bind_registry(self, registry) -> None:
         """Re-home the hit/miss counters into *registry* (preserving
@@ -68,17 +70,17 @@ class TLB:
         if entry is not None:
             if entry[1] == self._space_gen.get(space, 0):
                 self._entries.move_to_end(key)
-                self.stats.add("hit")
+                self.stats.registry.inc("tlb.hit")
                 return entry[0]
             # Stale: a flushed-away entry the eager TLB no longer had.
             del self._entries[key]
         if self._runs:
             mapping = self._probe_runs(space, vpn)
             if mapping is not None:
-                self.stats.add("hit")
-                self.stats.add("run_hit")
+                self.stats.registry.inc("tlb.hit")
+                self.stats.registry.inc("tlb.run_hit")
                 return mapping
-        self.stats.add("miss")
+        self.stats.registry.inc("tlb.miss")
         return None
 
     def fill(self, space: int, vpn: int, mapping: Mapping) -> None:
@@ -188,13 +190,13 @@ class TLB:
             # Guarded adds: a counter the scalar loop never created
             # must not appear here as a zero-valued series.
             if hits:
-                self.stats.add("hit", hits)
+                self.stats.registry.inc("tlb.hit", hits)
             if run_hits:
-                self.stats.add("run_hit", run_hits)
+                self.stats.registry.inc("tlb.run_hit", run_hits)
             if misses:
-                self.stats.add("miss", misses)
+                self.stats.registry.inc("tlb.miss", misses)
             if evicts:
-                self.stats.add("evict", evicts)
+                self.stats.registry.inc("tlb.evict", evicts)
         return misses
 
     def retire_run(self, space: int, vpns, walk, base: int = 0) -> int:
@@ -229,7 +231,7 @@ class TLB:
             for vpn in reversed(order_rev):
                 move_to_end((space, vpn + base))
             if len(vpns):
-                self.stats.add("hit", len(vpns))
+                self.stats.registry.inc("tlb.hit", len(vpns))
             return 0
         return self.access_run(space, vpns, walk, base)
 
@@ -246,7 +248,7 @@ class TLB:
             if gen == self._space_gen.get(key[0], 0):
                 self._space_keys[key[0]].discard(key)
                 self._live -= 1
-                self.stats.add("evict")
+                self.stats.registry.inc("tlb.evict")
                 return
 
     # -- extent-granular entries -------------------------------------------------
@@ -312,7 +314,7 @@ class TLB:
                 if not runs:
                     del self._runs[space]
                 self._run_count -= 1
-                self.stats.add("run_evict")
+                self.stats.registry.inc("tlb.run_evict")
                 return
 
     @property
@@ -329,7 +331,7 @@ class TLB:
         if entry is not None and entry[1] == self._space_gen.get(space, 0):
             self._space_keys[space].discard(key)
             self._live -= 1
-            self.stats.add("shootdown")
+            self.stats.registry.inc("tlb.shootdown")
         if self._runs:
             self._drop_runs(space, vpn, vpn + 1)
 
@@ -350,7 +352,7 @@ class TLB:
                 self._drop_runs(space, vpn, vpn + 1)
         if dropped:
             self._live -= dropped
-            self.stats.add("shootdown", dropped)
+            self.stats.registry.inc("tlb.shootdown", dropped)
 
     def invalidate_range(self, space: int, start_vpn: int,
                          count: int) -> int:
@@ -387,7 +389,7 @@ class TLB:
                         dropped += 1
         if dropped:
             self._live -= dropped
-            self.stats.add("shootdown", dropped)
+            self.stats.registry.inc("tlb.shootdown", dropped)
         if self._runs:
             self._drop_runs(space, start_vpn, end_vpn)
         return dropped
@@ -400,7 +402,7 @@ class TLB:
         if keys:
             self._space_gen[space] = self._space_gen.get(space, 0) + 1
             self._live -= len(keys)
-            self.stats.add("space_flush")
+            self.stats.registry.inc("tlb.space_flush")
         if self._runs:
             self._drop_space_runs(space)
 
@@ -413,7 +415,7 @@ class TLB:
         self._runs.clear()
         self._run_fifo.clear()
         self._run_count = 0
-        self.stats.add("full_flush")
+        self.stats.registry.inc("tlb.full_flush")
 
     @property
     def occupancy(self) -> int:

@@ -70,8 +70,9 @@ from typing import Dict, Optional, Tuple
 from repro.errors import InvalidOperation
 from repro.fastpath import get_numpy
 from repro.hardware.bus import MemoryBus
+from repro.hardware.counters import CounterView
 from repro.hardware.mmu import MMU, _READ_BIT, _SYSTEM_BIT, _WRITE_BIT
-from repro.kernel.stats import EventCounter
+from repro.kernel import MetricsRegistry
 
 #: Accesses classified per vectorized round (bounds temporary arrays).
 BATCH = 1 << 16
@@ -112,7 +113,7 @@ class VectorBus:
         declare ``walk_stats_mapped``.
     registry:
         Metrics registry for the ``vbus.*`` counters (None keeps them
-        private, like a bare ``EventCounter``).
+        in a private registry).
     use_numpy:
         Per-instance override of the :mod:`repro.fastpath` gate.
     """
@@ -129,7 +130,7 @@ class VectorBus:
                 "walk_stats_mapped; the vectorized bus cannot classify "
                 "against it")
         self._np = get_numpy(use_numpy)
-        self.stats = EventCounter(registry=registry, namespace="vbus.")
+        self.stats = CounterView(registry or MetricsRegistry(), "vbus.")
         #: The classification cache and the MMU epoch it is valid for.
         self._cache: Dict[Tuple[int, int, bool], _Classes] = {}
         self._epoch = self.mmu.epoch

@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable, Optional
 
-from repro.kernel.stats import EventCounter
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -83,6 +82,10 @@ class CostEvent(enum.Enum):
     TLB_FILL = "tlb_fill"
 
 
+#: Every event's counter key (its value), for the read-side helpers.
+_EVENT_KEYS = tuple(event.value for event in CostEvent)
+
+
 class CostModel:
     """Maps :class:`CostEvent` to a cost in virtual milliseconds.
 
@@ -119,7 +122,8 @@ class VirtualClock:
 
     The clock also counts every charged event, so experiments can report
     both virtual milliseconds *and* raw mechanism counts (faults taken,
-    frames allocated, shadow objects created, ...).  Counts land in a
+    frames allocated, shadow objects created, ...).  Each charge is one
+    ``inc`` of the plain counter named by the event's value in a
     :class:`~repro.obs.metrics.MetricsRegistry` — by default a fresh
     one, but a memory manager shares a single registry between its
     clock, TLB, probe and reporting tools, which is what makes
@@ -137,7 +141,6 @@ class VirtualClock:
         self.model = model or CostModel()
         self._now_ms = 0.0
         self.registry = registry or MetricsRegistry()
-        self.counter = EventCounter(registry=self.registry)
         self._listeners = ()
         self._capture: Optional[list] = None
 
@@ -155,12 +158,14 @@ class VirtualClock:
             self._capture.append((event, count))
             return 0.0
         start = self._now_ms
-        counter = self.counter
-        if counter.registry.enabled:
+        registry = self.registry
+        if registry.enabled:
             # A paused registry drops the increment inside inc()
-            # anyway; skipping the whole view hop keeps the idle fast
-            # path to one attribute check per charge.
-            counter.add(event.value, count)
+            # anyway; checking here keeps the idle fast path to one
+            # attribute check per charge.  ``_value_`` is the member's
+            # stored value: ``.value`` is a descriptor call that costs
+            # more than the increment itself.
+            registry.inc(event._value_, count)
         cost = self.model.price(event) * count
         self._now_ms = start + cost
         if self._listeners:
@@ -192,7 +197,7 @@ class VirtualClock:
                 total += self.charge(event)
             return total
         start = self._now_ms
-        self.counter.add(event.value, count)
+        self.registry.inc(event._value_, count)
         price = self.model.price(event)
         if price:
             now = start
@@ -245,16 +250,18 @@ class VirtualClock:
 
     def count(self, event: CostEvent) -> int:
         """Number of times *event* has been charged."""
-        return self.counter.get(event.value)
+        return self.registry.counter_value(event.value)
 
     def reset(self) -> None:
-        """Zero the clock and all event counts."""
+        """Zero the clock and all event counts (other counters in a
+        shared registry are untouched); bumps the registry generation."""
         self._now_ms = 0.0
-        self.counter.reset()
+        self.registry.drop_counters(_EVENT_KEYS)
 
     def snapshot(self) -> Dict[str, int]:
         """Copy of all event counts, keyed by event value."""
-        return self.counter.snapshot()
+        values = self.registry.counter_values()
+        return {key: values[key] for key in _EVENT_KEYS if key in values}
 
     def __repr__(self) -> str:
         return f"VirtualClock(t={self._now_ms:.3f}ms, model={self.model.name})"

@@ -162,23 +162,26 @@ class SpaceAccount:
         #: last published residency (pages); a snapshot-time gauge.
         self.resident_pages = 0
         self.stall = StallWindow()
-        label = {"space": space}
+        # One label, formatted once and appended: a ledger is built
+        # for every forked space, where thirteen series_name calls
+        # were a measurable share of the fork.
+        label = series_name("", {"space": space})
         self.series: Dict[str, str] = {
-            "fault.read": series_name("space.fault.read", label),
-            "fault.write": series_name("space.fault.write", label),
-            "pull_bytes": series_name("space.pull_bytes", label),
-            "push_bytes": series_name("space.push_bytes", label),
-            "inflight_wait": series_name("space.inflight_wait", label),
-            "evict.caused": series_name("space.evict.caused", label),
-            "evict.suffered": series_name("space.evict.suffered", label),
+            "fault.read": "space.fault.read" + label,
+            "fault.write": "space.fault.write" + label,
+            "pull_bytes": "space.pull_bytes" + label,
+            "push_bytes": "space.push_bytes" + label,
+            "inflight_wait": "space.inflight_wait" + label,
+            "evict.caused": "space.evict.caused" + label,
+            "evict.suffered": "space.evict.suffered" + label,
         }
         self.gauges: Dict[str, str] = {
-            "resident_pages": series_name("space.resident_pages", label),
-            "mapped_pages": series_name("space.mapped_pages", label),
-            "stall_ms": series_name("space.stall_ms", label),
-            "avg10": series_name("psi.memory.some.avg10", label),
-            "avg60": series_name("psi.memory.some.avg60", label),
-            "avg300": series_name("psi.memory.some.avg300", label),
+            "resident_pages": "space.resident_pages" + label,
+            "mapped_pages": "space.mapped_pages" + label,
+            "stall_ms": "space.stall_ms" + label,
+            "avg10": "psi.memory.some.avg10" + label,
+            "avg60": "psi.memory.some.avg60" + label,
+            "avg300": "psi.memory.some.avg300" + label,
         }
 
     def __repr__(self) -> str:

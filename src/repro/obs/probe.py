@@ -1,8 +1,8 @@
 """The Probe: the one instrumentation facade components receive.
 
-Instead of each subsystem keeping its own counter bag (an
-``EventCounter`` here, a stats dataclass there, a wrapped clock in the
-tools), every component is handed a probe and speaks three verbs:
+Instead of each subsystem keeping its own counter bag (a stats
+dataclass here, a wrapped clock in the tools), every component is
+handed a probe and speaks three verbs:
 
 * ``count(name)`` / ``gauge(name, v)`` / ``observe(name, v)`` —
   metrics, always on, landing in the shared
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import NULL_SINK, SpanSink
@@ -96,24 +96,27 @@ class Probe:
 
     # -- metrics ------------------------------------------------------------
 
-    def count(self, name: str, n: int = 1, **labels: object) -> None:
+    def count(self, name: str, n: int = 1,
+              labels: Optional[Mapping[str, object]] = None) -> None:
         """Increment a registry counter.
 
-        Keyword labels (``probe.count("fault.write", backend="pvm")``)
-        record a labeled ``name{k=v,...}`` series alongside the
-        plain-name rollup.  Hot paths may instead pass a precomputed
-        series key (see :func:`repro.obs.metrics.series_name`) as
-        *name* to skip the per-call formatting.
+        *name* is a plain name or a labeled ``name{k=v,...}`` series
+        key, precomputed with :func:`repro.obs.metrics.series_name`
+        (or the memoized :func:`~repro.obs.metrics.series_key`) so the
+        call formats nothing; *labels* formats one on the spot
+        (``probe.count("fault.write", labels={"backend": "pvm"})``).
         """
-        self.registry.inc(name, n, labels=labels or None)
+        self.registry.inc(name, n, labels)
 
-    def gauge(self, name: str, value: float, **labels: object) -> None:
+    def gauge(self, name: str, value: float,
+              labels: Optional[Mapping[str, object]] = None) -> None:
         """Set a registry gauge."""
-        self.registry.set_gauge(name, value, labels=labels or None)
+        self.registry.set_gauge(name, value, labels)
 
-    def observe(self, name: str, value: float, **labels: object) -> None:
+    def observe(self, name: str, value: float,
+                labels: Optional[Mapping[str, object]] = None) -> None:
         """Record into a registry histogram."""
-        self.registry.observe(name, value, labels=labels or None)
+        self.registry.observe(name, value, labels)
 
     # -- spans --------------------------------------------------------------
 
@@ -236,13 +239,13 @@ class _IdleProbe(Probe):
     throwaway registry.
     """
 
-    def count(self, name: str, n: int = 1, **labels: object) -> None:
+    def count(self, name: str, n: int = 1, labels=None) -> None:
         pass
 
-    def gauge(self, name: str, value: float, **labels: object) -> None:
+    def gauge(self, name: str, value: float, labels=None) -> None:
         pass
 
-    def observe(self, name: str, value: float, **labels: object) -> None:
+    def observe(self, name: str, value: float, labels=None) -> None:
         pass
 
     def span(self, name: str):

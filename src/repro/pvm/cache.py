@@ -72,6 +72,10 @@ class PvmCache(Cache):
         #: a resident page of ours or detached to (cache, offset)); kept
         #: so cache destruction can materialize them first.
         self.incoming_stubs: Set = set()
+        #: offsets where a per-page stub was installed in this cache
+        #: (it may since have been resolved); destruction drops the
+        #: stubs still there.
+        self.stub_offsets: Set[int] = set()
         #: source deleted while copies remain (section 4.2.2): kept as an
         #: anonymous node until the last child goes away.
         self.dead = False

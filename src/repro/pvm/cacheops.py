@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from repro.errors import InvalidOperation
 from repro.gmi.types import AccessMode, Protection
 from repro.kernel.clock import CostEvent
+from repro.obs.metrics import series_key
 from repro.pvm.cache import PvmCache
 from repro.pvm.page import CowStub, RealPageDescriptor, SyncStub
 from repro.units import page_range
@@ -80,7 +81,8 @@ class CacheOpsMixin:
             if page_offset in cache.pages
         )
         if hits:
-            self.probe.count("cache.hit", hits, segment=cache.name)
+            self.probe.count(series_key("cache.hit", ("segment", cache.name)),
+                             hits)
 
     def _page_for_explicit_read(self, cache: PvmCache,
                                 page_offset: int) -> RealPageDescriptor:

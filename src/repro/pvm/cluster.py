@@ -33,6 +33,7 @@ from repro.engine.cluster import (
 )
 from repro.gmi.types import AccessMode, Protection
 from repro.kernel.clock import CostEvent
+from repro.obs.metrics import series_key
 from repro.pvm.hw_interface import Prot
 from repro.pvm.page import RealPageDescriptor
 
@@ -136,8 +137,9 @@ class ClusterMixin:
             index.insert(cache, page_offset, PrefaultEntry(
                 frames[page_offset], per_page,
                 zeros.get(page_offset, False)))
-        self.probe.count("engine.cluster.window", pages,
-                         policy=self.cluster_policy.name)
+        self.probe.count(series_key("engine.cluster.window",
+                                    ("policy", self.cluster_policy.name)),
+                         pages)
 
     def _cluster_redirect_fill(self, cache, offset: int, data: bytes,
                                zero: bool) -> bool:
@@ -265,9 +267,10 @@ class ClusterMixin:
         # Replicate the cache engine's per-pull bookkeeping.
         cache.stats.pull_ins += 1
         probe = self.probe
-        probe.count("cache.pull_in", 1, segment=cache.name,
-                    mode=mode.name.lower())
-        probe.count("cache.miss", 1, segment=cache.name)
+        segment = ("segment", cache.name)
+        probe.count(series_key("cache.pull_in", ("mode", mode.name.lower()),
+                               segment))
+        probe.count(series_key("cache.miss", segment))
         # Prefetch bypassed CacheEngine.pull, so the per-space ledger
         # hook there never fired — replay it here so `space.pull_bytes`
         # is identical with and without clustering (parity test).
@@ -286,7 +289,8 @@ class ClusterMixin:
                 stub.src_page = page
                 page.cow_stubs.add(stub)
         self.cache_engine.insert(page)
-        probe.count("engine.cluster.faults_saved", 1, backend=self.name)
+        probe.count(series_key("engine.cluster.faults_saved",
+                               ("backend", self.name)))
         return page
 
     # -- cancellation ---------------------------------------------------

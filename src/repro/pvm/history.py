@@ -298,7 +298,7 @@ class HistoryMixin:
                 # a plain integer increment.
                 if hops and self.probe.enabled:
                     self.probe.observe("history.depth", hops,
-                                       backend=self.name)
+                                       labels={"backend": self.name})
                 return entry
             fragment = current.parents.find(current_offset)
             if fragment is not None and current_offset not in current.owned:

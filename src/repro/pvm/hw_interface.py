@@ -57,7 +57,7 @@ def build_mmu(page_size: int, tlb_entries: Optional[int] = None,
     tlb = TLB(tlb_entries, registry=registry) if tlb_entries else None
     mmu = PagedMMU(page_size, tlb=tlb)
     if registry is not None:
-        mmu.stats.rebind(registry)
+        mmu.bind_registry(registry)
     return mmu
 
 

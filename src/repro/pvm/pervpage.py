@@ -13,6 +13,7 @@ every cache it was copied to.
 from __future__ import annotations
 
 from repro.kernel.clock import CostEvent
+from repro.obs.metrics import series_key
 from repro.pvm.cache import PvmCache
 from repro.pvm.page import CowStub, RealPageDescriptor
 from repro.units import page_range
@@ -39,6 +40,7 @@ class PerPageMixin:
                 stub = CowStub(dst, dst_page_offset,
                                src_cache=src, src_offset=offset)
             self.global_map.insert(dst, dst_page_offset, stub)
+            dst.stub_offsets.add(dst_page_offset)
             self.clock.charge(CostEvent.COW_STUB_INSERT)
 
     # ------------------------------------------------------------------
@@ -76,8 +78,9 @@ class PerPageMixin:
             self.hw.shootdown_served(cache, offset)
             self.cache_engine.insert(page)
             cache.stats.copy_faults += 1
-            self.probe.count("cow.materialized", backend=self.name,
-                             kind="stub")
+            self.probe.count(series_key("cow.materialized",
+                                        ("backend", self.name),
+                                        ("kind", "stub")))
         return page
 
     def _stub_source_page(self, stub: CowStub) -> RealPageDescriptor:

@@ -39,6 +39,7 @@ from repro.pvm.hw_interface import (
     MMU, HardwareLayer, PhysicalMemory, build_bus, build_mmu,
     build_physical_memory,
 )
+from repro.pvm.page import CowStub
 from repro.pvm.pageout import PageoutMixin
 from repro.pvm.pervpage import PerPageMixin
 from repro.pvm.region import PvmRegion
@@ -480,6 +481,15 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
     def _release_cache(self, cache: PvmCache) -> None:
         """Final destruction: free pages, unlink from the tree."""
         self._cluster_cancel_cache(cache)
+        # This cache's own per-page stubs die with it.  Left threaded
+        # on their sources, a later release of a source would
+        # materialize them into this destroyed cache: a leaked frame.
+        for offset in cache.stub_offsets:
+            stub = self.global_map.lookup(cache, offset)
+            if isinstance(stub, CowStub):
+                stub.unthread()
+                self.global_map.remove(cache, offset)
+        cache.stub_offsets.clear()
         # Per-page stubs that reference this cache's data must get
         # their private copies before the data goes away.
         for stub in list(cache.incoming_stubs):

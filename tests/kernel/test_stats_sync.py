@@ -1,49 +1,65 @@
-"""Unit tests for event counters and the host synchronization interface."""
+"""Unit tests for the clock's event counts and the host synchronization
+interface."""
 
 import threading
 
 import pytest
 
-from repro.kernel.stats import EventCounter
+from repro.kernel.clock import CostEvent, VirtualClock
 from repro.kernel.sync import NullSync, ThreadedSync
+from repro.obs.metrics import MetricsRegistry
+
+EVENT = CostEvent.FAULT_DISPATCH
 
 
-class TestEventCounter:
+class TestClockEventCounts:
+    """``count``/``snapshot``/``reset`` read through the registry the
+    charges write into."""
+
     def test_add_and_get(self):
-        counter = EventCounter()
-        counter.add("faults")
-        counter.add("faults", 2)
-        assert counter.get("faults") == 3
+        clock = VirtualClock()
+        clock.charge(EVENT)
+        clock.charge(EVENT, 2)
+        clock.charge_each(EVENT, 3)
+        assert clock.count(EVENT) == 6
+        assert clock.registry.counter_value(EVENT.value) == 6
 
     def test_unknown_counter_is_zero(self):
-        assert EventCounter().get("nothing") == 0
+        assert VirtualClock().count(EVENT) == 0
 
-    def test_reset(self):
-        counter = EventCounter()
-        counter.add("x", 5)
-        counter.reset()
-        assert counter.get("x") == 0
+    def test_reset_spares_other_counters(self):
+        registry = MetricsRegistry()
+        registry.inc("tlb.hit", 4)
+        clock = VirtualClock(registry=registry)
+        clock.charge(EVENT, 5)
+        generation = registry.generation
+        clock.reset()
+        assert clock.count(EVENT) == 0
+        assert clock.snapshot() == {}
+        assert registry.counter_values() == {"tlb.hit": 4}
+        assert registry.generation == generation + 1
 
-    def test_snapshot_is_a_copy(self):
-        counter = EventCounter()
-        counter.add("x")
-        snap = counter.snapshot()
-        counter.add("x")
-        assert snap == {"x": 1}
+    def test_snapshot_is_a_copy_of_event_counts_only(self):
+        clock = VirtualClock()
+        clock.registry.inc("tlb.hit")
+        clock.charge(EVENT)
+        snap = clock.snapshot()
+        clock.charge(EVENT)
+        assert snap == {EVENT.value: 1}
 
     def test_concurrent_increments(self):
-        counter = EventCounter()
+        clock = VirtualClock()
 
         def work():
             for _ in range(1000):
-                counter.add("n")
+                clock.charge(EVENT)
 
         threads = [threading.Thread(target=work) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert counter.get("n") == 4000
+        assert clock.count(EVENT) == 4000
 
 
 class TestNullSync:

@@ -222,3 +222,32 @@ TestMachCowModel = MachCowMachine.TestCase
 TestMachCowModel.settings = _QUICK
 TestRealTimeCowModel = RealTimeCowMachine.TestCase
 TestRealTimeCowModel.settings = _QUICK
+
+
+# -- deterministic regressions -------------------------------------------------
+
+@pytest.mark.parametrize("machine_class",
+                         [CowMachine, MachCowMachine, RealTimeCowMachine],
+                         ids=["pvm", "mach", "minimal"])
+def test_destroying_a_stubbed_copy_leaks_no_frame(machine_class):
+    # A per-page stub placed in c1 over a history copy from c2 used to
+    # outlive c1: reaping c2's dead node then materialized the stub
+    # into the destroyed c1, and its frame was never freed.
+    machine = machine_class()
+    machine.setup()
+    machine.copy(src=2, dst=1, src_page=0, dst_page=0, pages=2,
+                 policy=CopyPolicy.HISTORY)
+    machine.copy(src=2, dst=1, src_page=0, dst_page=0, pages=1,
+                 policy=CopyPolicy.PER_PAGE)
+    machine.recycle_cache(2)
+    machine.recycle_cache(1)
+    machine.global_map_consistent()
+    live = set(map(id, machine.caches.values()))
+    for _, entry in machine.vm.global_map:
+        assert id(entry.cache) in live, entry
+    for index in range(NUM_CACHES):
+        machine.recycle_cache(index)
+    machine.global_map_consistent()
+    assert len(machine.vm.global_map) == 0
+    assert machine.vm.memory.allocated_frames == 0
+    machine.teardown()

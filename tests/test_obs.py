@@ -363,8 +363,8 @@ class TestVmIntegration:
         # Pipeline stages decompose by backend too.
         assert counters["engine.stage.locate{backend=pvm}"] == \
             counters["engine.stage.locate"]
-        # MMU walk statistics decompose by port (via the labeled
-        # EventCounter view), TLB-style, in the same shared registry.
+        # MMU walk statistics decompose by port (precomputed
+        # ``{port=...}`` keys), TLB-style, in the same shared registry.
         assert counters["mmu.walk_level1{port=paged}"] > 0
         assert counters["mmu.walk_level1"] == \
             counters["mmu.walk_level1{port=paged}"]
@@ -381,11 +381,36 @@ class TestVmIntegration:
 
     def test_mmu_port_stats_api_unchanged(self):
         # Consumers keep reading port statistics by bare name; the
-        # labeled storage is invisible through EventCounter.get().
+        # labeled storage is invisible through mmu.stats.get().
         vm = PagedVirtualMemory(memory_size=4 * MB)
         self._touch(vm)
         assert vm.mmu.stats.get("walk_level1") == \
             vm.registry.counter_value("mmu.walk_level1{port=paged}")
+        assert vm.mmu.stats.snapshot()["walk_level1"] == \
+            vm.mmu.stats.get("walk_level1")
+
+    def test_adopted_mmu_and_tlb_keep_their_counts(self):
+        # An MMU built before its manager counts into private
+        # registries; adoption moves the counts into the shared one.
+        from repro.hardware.mmu import Prot
+        from repro.hardware.paged_mmu import PagedMMU
+        from repro.hardware.tlb import TLB
+        mmu = PagedMMU(PAGE, tlb=TLB(entries=4))
+        space = mmu.create_space()
+        mmu.map(space, 0, 1, Prot.RW)
+        mmu.translate(space, 0, write=False)
+        walks, misses = mmu.stats.get("walk_level1"), mmu.tlb.stats.get("miss")
+        assert walks and misses
+        private = mmu.stats.registry
+        vm = PagedVirtualMemory(memory_size=4 * MB, mmu=mmu)
+        assert mmu.stats.registry is vm.registry is mmu.tlb.stats.registry
+        assert private.counter_values() == {}
+        assert mmu.stats.get("walk_level1") == walks
+        assert mmu.tlb.stats.get("miss") == misses
+        counters = vm.registry.counter_values()
+        assert counters["mmu.walk_level1{port=paged}"] == walks
+        assert counters["mmu.walk_level1"] == walks
+        assert counters["tlb.miss"] == misses
 
     def test_metrics_snapshot_carries_gauges_and_meta(self):
         vm = PagedVirtualMemory(memory_size=4 * MB, tlb_entries=16)
