@@ -159,6 +159,13 @@ class InFlightTable:
             return None
         return extents.get(offset)
 
+    def in_transit(self, cache, offset: int, size: int) -> bool:
+        """True when some extent of *cache* in flight intersects
+        ``[offset, offset+size)``."""
+        extents = self._extents.get(cache.cache_id)
+        return bool(extents) and bool(
+            extents.overlapping(offset, offset + size))
+
     # -- introspection -------------------------------------------------------
 
     @property

@@ -108,15 +108,70 @@ class RunMap:
     def set_attr_range(self, start: int, end: int, attr: Any) -> int:
         """Give every *mapped* key in ``[start, end)`` the attribute
         *attr* (frames unchanged); return how many keys changed.
-        Unmapped holes are skipped, not an error."""
-        pieces = self.runs_in(start, end)
+        Unmapped holes are skipped, not an error.
+
+        Runs wholly inside the range change in place and are re-
+        coalesced with each other and their outer neighbours in one
+        pass; only the (at most two) runs straddling a boundary are
+        split, through :meth:`set_run`.  Runs stay maximal."""
+        if end <= start:
+            return 0
+        starts, ends = self._starts, self._ends
+        frames, attrs = self._frames, self._attrs
+        lo = bisect_right(ends, start)
+        hi = bisect_left(starts, end)
+        if lo >= hi:
+            return 0
+        edges: List[Tuple[int, int, int]] = []
+        if starts[lo] < start:
+            if attrs[lo] != attr:
+                edges.append((start, min(ends[lo], end) - start,
+                              frames[lo] + (start - starts[lo])))
+            lo += 1
+        if lo < hi and ends[hi - 1] > end:
+            if attrs[hi - 1] != attr:
+                edges.append((starts[hi - 1], end - starts[hi - 1],
+                              frames[hi - 1]))
+            hi -= 1
         changed = 0
-        for run_start, run_count, run_frame, run_attr in pieces:
-            if run_attr == attr:
-                continue
-            self.set_run(run_start, run_count, run_frame, attr)
-            changed += run_count
+        for index in range(lo, hi):
+            if attrs[index] != attr:
+                attrs[index] = attr
+                changed += ends[index] - starts[index]
+        if changed:
+            self._coalesce(lo - 1, hi + 1)
+        for piece_start, piece_count, piece_frame in edges:
+            self.set_run(piece_start, piece_count, piece_frame, attr)
+            changed += piece_count
         return changed
+
+    def _coalesce(self, lo: int, hi: int) -> None:
+        """Merge key- and frame-contiguous, attr-equal neighbours among
+        runs ``lo .. hi-1`` (indices clamped), in one pass."""
+        starts, ends = self._starts, self._ends
+        frames, attrs = self._frames, self._attrs
+        lo = max(lo, 0)
+        hi = min(hi, len(starts))
+        if hi - lo < 2:
+            return
+        new_starts, new_ends = [starts[lo]], [ends[lo]]
+        new_frames, new_attrs = [frames[lo]], [attrs[lo]]
+        for index in range(lo + 1, hi):
+            run_start = starts[index]
+            if run_start == new_ends[-1] and attrs[index] == new_attrs[-1] \
+                    and new_frames[-1] + (run_start - new_starts[-1]) \
+                    == frames[index]:
+                new_ends[-1] = ends[index]
+                continue
+            new_starts.append(run_start)
+            new_ends.append(ends[index])
+            new_frames.append(frames[index])
+            new_attrs.append(attrs[index])
+        if len(new_starts) < hi - lo:
+            starts[lo:hi] = new_starts
+            ends[lo:hi] = new_ends
+            frames[lo:hi] = new_frames
+            attrs[lo:hi] = new_attrs
 
     def clear(self) -> None:
         """Unmap everything."""

@@ -20,6 +20,14 @@ counters cost O(pages / TABLE_SIZE), not O(pages).
 
 The walk depth is recorded per translation so the MMU-port ablation
 (benchmarks/test_ablation_mmu_ports.py) can compare organisations.
+
+``protect_batch`` works in O(runs) too: the items' vpns coalesce into
+ranges that :meth:`~repro.extents.runmap.RunMap.set_attr_range`
+re-protects in place, and the walk statistics are charged in
+aggregate, one level-1 and one level-2 walk per item — what a per-item
+walk of a mapped vpn charges — so the totals match the base class's
+per-item loop, which a batch with a hole or mixed protections still
+takes.
 """
 
 from __future__ import annotations
@@ -34,6 +42,23 @@ from repro.hardware.mmu import MMU, Mapping, Prot
 TABLE_BITS = 10
 TABLE_SIZE = 1 << TABLE_BITS
 TABLE_MASK = TABLE_SIZE - 1
+
+
+def _vpn_spans(vpns) -> List[Tuple[int, int]]:
+    """The distinct *vpns* as sorted, disjoint ``[start, end)`` ranges
+    of consecutive pages."""
+    ordered = sorted(set(vpns))
+    if not ordered:
+        return []
+    spans: List[Tuple[int, int]] = []
+    start = previous = ordered[0]
+    for vpn in ordered:
+        if vpn > previous + 1:
+            spans.append((start, previous + 1))
+            start = vpn
+        previous = vpn
+    spans.append((start, previous + 1))
+    return spans
 
 
 class PagedMMU(MMU):
@@ -246,31 +271,53 @@ class PagedMMU(MMU):
             self._apply_bucket_delta(space, before, after)
             self._shootdown(space, range(vpn, vpn + count))
 
+    def protect_batch(self, space: int, items) -> None:
+        """Bulk re-protect in O(runs): the items' vpns coalesce into
+        ranges re-protected with ``set_attr_range``, the walk
+        statistics are charged in aggregate (one level-1 and one
+        level-2 walk per item, the totals a per-item ``_entry`` makes)
+        and the TLB sees one shootdown of the touched vpns.
+
+        A batch with mixed protections or a hole takes the per-item
+        base loop, so it leaves exactly that loop's state: the same
+        prefix re-protected, the same walk counts, the same error."""
+        self._check_space(space)
+        items = list(items)
+        if not items:
+            return
+        prot = items[0][1]
+        shift = self._page_shift
+        vpns = [vaddr >> shift for vaddr, _ in items]
+        table = self._tables[space]
+        spans = _vpn_spans(vpns)
+        if any(item_prot != prot for _, item_prot in items) or any(
+                table.first_gap(start, end) is not None
+                for start, end in spans):
+            super().protect_batch(space, items)
+            return
+        for start, end in spans:
+            table.set_attr_range(start, end, prot)
+        inc = self.stats.registry.inc
+        level1, level2 = self._walk_keys
+        inc(level1, len(items))
+        inc(level2, len(items))
+        self._shootdown(space, vpns)
+
     def unmap_batch(self, space: int, vaddrs) -> int:
         """Bulk unmap: the addresses coalesce into range clears."""
         self._check_space(space)
         table = self._tables[space]
-        vpns = sorted({vaddr >> self._page_shift for vaddr in vaddrs})
-        if not vpns:
-            return 0
-        spans: List[Tuple[int, int]] = []
-        span_start = previous = vpns[0]
-        for vpn in vpns[1:]:
-            if vpn != previous + 1:
-                spans.append((span_start, previous - span_start + 1))
-                span_start = vpn
-            previous = vpn
-        spans.append((span_start, previous - span_start + 1))
+        spans = _vpn_spans(vaddr >> self._page_shift for vaddr in vaddrs)
         dropped = 0
-        for start, count in spans:
-            before = self._bucket_pages(table, start, start + count)
-            removed = table.clear_range(start, start + count)
+        for start, end in spans:
+            before = self._bucket_pages(table, start, end)
+            removed = table.clear_range(start, end)
             if removed:
                 self._apply_bucket_delta(space, before, {})
                 dropped += removed
         if dropped:
-            for start, count in spans:
-                self._shootdown(space, range(start, start + count))
+            for start, end in spans:
+                self._shootdown(space, range(start, end))
         return dropped
 
     # -- introspection -------------------------------------------------------------

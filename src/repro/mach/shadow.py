@@ -68,6 +68,8 @@ class ShadowMixin:
             self.residency.rebind(page, original, offset)
             original.owned.add(offset)
             self.global_map.insert(original, offset, page)
+            # Per page, not batched: PAGE_PROTECT interleaves with the
+            # _break_stubs charges; float charge order is golden.
             self.hw.downgrade_page(page)
 
         # The original inherits the source's backing chain for the range.

@@ -216,6 +216,19 @@ class PvmCache(Cache):
             DeprecationWarning, stacklevel=2)
         return sorted(self.pages)
 
+    def resident_in(self, offset: int, size: int) -> List[RealPageDescriptor]:
+        """Resident pages overlapping ``[offset, offset+size)``, in no
+        particular order — O(min(resident, pages in the range))."""
+        pages = self.pages
+        page_size = self.pvm.page_size
+        start = offset - offset % page_size
+        end = offset + size
+        if len(pages) * page_size <= end - start:
+            return [page for page_offset, page in pages.items()
+                    if start <= page_offset < end]
+        return [page for page_offset in range(start, end, page_size)
+                if (page := pages.get(page_offset)) is not None]
+
     def resident_page(self, offset: int) -> Optional[RealPageDescriptor]:
         """The resident page at *offset*, if any."""
         return self.pages.get(offset)

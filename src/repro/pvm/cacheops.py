@@ -296,15 +296,11 @@ class CacheOpsMixin:
             cache.prot_caps.remove_range(offset, size)
             if protection != Protection.RWX:
                 cache.prot_caps.insert(offset, size, Cap(protection))
-            hardware = protection.to_hardware()
-            for page_offset in page_range(offset, size, self.page_size):
-                page = cache.pages.get(page_offset)
-                if page is None:
-                    continue
-                if not protection & Protection.READ:
+            if not protection & Protection.READ:
+                for page in cache.resident_in(offset, size):
                     self.hw.shootdown(page)
-                elif not protection & Protection.WRITE:
-                    self.hw.downgrade_page(page)
+            elif not protection & Protection.WRITE:
+                self.hw.downgrade_pages(cache.resident_in(offset, size))
 
     def _prot_cap_at(self, cache: PvmCache, offset: int) -> Protection:
         fragment = cache.prot_caps.find(offset)

@@ -50,10 +50,15 @@ class FragmentList(Generic[P]):
     bytes) for :meth:`remove_range` to split partially-overlapping
     fragments correctly; payloads without it can only be used when
     splits never happen.
+
+    The fragments' start offsets are kept in a parallel sorted list,
+    updated with every mutation, so :meth:`find` and :meth:`insert`
+    are O(log n) lookups.
     """
 
     def __init__(self):
         self._fragments: List[Fragment[P]] = []
+        self._starts: List[int] = []
 
     def __len__(self) -> int:
         return len(self._fragments)
@@ -64,14 +69,11 @@ class FragmentList(Generic[P]):
     def __bool__(self) -> bool:
         return bool(self._fragments)
 
-    def _offsets(self) -> List[int]:
-        return [fragment.offset for fragment in self._fragments]
-
     def insert(self, offset: int, size: int, payload: P) -> Fragment[P]:
         """Insert a fragment; it must not overlap an existing one."""
         if size <= 0:
             raise InvalidOperation("fragment size must be positive")
-        index = bisect.bisect_right(self._offsets(), offset)
+        index = bisect.bisect_right(self._starts, offset)
         if index > 0 and self._fragments[index - 1].overlaps(offset, size):
             raise InvalidOperation("fragment overlaps predecessor")
         if index < len(self._fragments) and \
@@ -79,18 +81,29 @@ class FragmentList(Generic[P]):
             raise InvalidOperation("fragment overlaps successor")
         fragment = Fragment(offset, size, payload)
         self._fragments.insert(index, fragment)
+        self._starts.insert(index, offset)
         return fragment
 
     def find(self, offset: int) -> Optional[Fragment[P]]:
         """Fragment containing *offset*, or None."""
-        index = bisect.bisect_right(self._offsets(), offset) - 1
+        index = bisect.bisect_right(self._starts, offset) - 1
         if index >= 0 and self._fragments[index].contains(offset):
             return self._fragments[index]
         return None
 
+    def _window(self, offset: int, size: int) -> Tuple[int, int]:
+        """Index range ``[lo, hi)`` of the fragments intersecting
+        [offset, offset+size)."""
+        starts = self._starts
+        lo = bisect.bisect_right(starts, offset)
+        if lo > 0 and self._fragments[lo - 1].end > offset:
+            lo -= 1
+        return lo, max(lo, bisect.bisect_left(starts, offset + size))
+
     def overlapping(self, offset: int, size: int) -> List[Fragment[P]]:
         """All fragments intersecting [offset, offset+size)."""
-        return [f for f in self._fragments if f.overlaps(offset, size)]
+        lo, hi = self._window(offset, size)
+        return self._fragments[lo:hi]
 
     def remove_range(self, offset: int, size: int) -> List[Fragment[P]]:
         """Delete coverage of [offset, offset+size), splitting edges.
@@ -98,13 +111,11 @@ class FragmentList(Generic[P]):
         Returns the removed (sub)fragments, with payloads shifted to
         match their new start offsets.
         """
+        lo, hi = self._window(offset, size)
         removed: List[Fragment[P]] = []
         kept: List[Fragment[P]] = []
         end = offset + size
-        for fragment in self._fragments:
-            if not fragment.overlaps(offset, size):
-                kept.append(fragment)
-                continue
+        for fragment in self._fragments[lo:hi]:
             cut_start = max(fragment.offset, offset)
             cut_end = min(fragment.end, end)
             removed.append(Fragment(
@@ -121,8 +132,8 @@ class FragmentList(Generic[P]):
                     cut_end, fragment.end - cut_end,
                     self._shift(fragment.payload, cut_end - fragment.offset),
                 ))
-        kept.sort(key=lambda f: f.offset)
-        self._fragments = kept
+        self._fragments[lo:hi] = kept
+        self._starts[lo:hi] = [fragment.offset for fragment in kept]
         return removed
 
     @staticmethod
@@ -158,11 +169,13 @@ class FragmentList(Generic[P]):
             fragment for fragment in self._fragments
             if not predicate(fragment.payload)
         ]
+        self._starts = [fragment.offset for fragment in self._fragments]
         return before - len(self._fragments)
 
     def clear(self) -> None:
         """Drop every fragment."""
         self._fragments.clear()
+        self._starts.clear()
 
     def __repr__(self) -> str:
         parts = ", ".join(

@@ -167,10 +167,7 @@ class HistoryMixin:
 
         # Write-protect the source's resident pages of the fragment so
         # that the next write faults and preserves the original.
-        for offset in page_range(src_offset, size, self.page_size):
-            page = src.pages.get(offset)
-            if page is not None:
-                self.hw.downgrade_page(page)
+        self.hw.downgrade_pages(src.resident_in(src_offset, size))
 
     def _insert_working_object(self, src: PvmCache, src_offset: int,
                                size: int) -> PvmCache:
@@ -222,19 +219,42 @@ class HistoryMixin:
         segment, section 4.2.4): its own pages in the range are
         discarded, but first (a) any history descendant of *dst* gets
         the pre-image it is owed, and (b) per-page stubs hanging off
-        those pages are materialized.
+        those pages are materialized.  A destination that holds nothing
+        in the range (a fork's fresh child cache) skips the per-page
+        sweep.
         """
         self._cluster_cancel_range(dst, dst_offset, size)
-        for offset in page_range(dst_offset, size, self.page_size):
+        page_size = self.page_size
+        end = dst_offset + size
+        # Per-page stubs whose source is (dst, offset) in the range, by
+        # offset, in one pass.  Attached stubs are indexed too: their
+        # source page may be evicted mid-sweep, detaching them.
+        pending = {}
+        for stub in dst.incoming_stubs:
+            source = stub.src_page
+            if source is not None:
+                if source.cache is not dst:
+                    continue
+                referenced = source.offset
+            elif stub.src_cache is dst:
+                referenced = stub.src_offset
+            else:
+                continue
+            if dst_offset <= referenced < end:
+                pending.setdefault(referenced - referenced % page_size,
+                                   []).append(stub)
+        if not pending and self._holds_nothing(dst, dst_offset, size):
+            return
+        for offset in page_range(dst_offset, size, page_size):
             # Translations serving this (dst, offset) — including read
             # mappings of ancestor/stub-source frames — go stale with
             # the content change: shoot them down now.
             self.hw.shootdown_served(dst, offset)
             # Detached per-page stubs referencing (dst, offset) pin the
             # pre-copy value: materialize them before it changes hands.
-            for stub in list(dst.incoming_stubs):
+            for stub in pending.get(offset, ()):
                 if stub.src_page is None and stub.src_cache is dst \
-                        and offset <= stub.src_offset < offset + self.page_size:
+                        and offset <= stub.src_offset < offset + page_size:
                     self._resolve_cow_stub_write(stub)
             if dst.guards.find(offset) is not None:
                 self._ensure_history_version(dst, offset)
@@ -269,6 +289,30 @@ class HistoryMixin:
             if not any(f.payload.cache is parent for f in dst.parents):
                 parent.children.discard(dst)
                 self._reap_if_dead(parent)
+
+    def _holds_nothing(self, cache: PvmCache, offset: int,
+                       size: int) -> bool:
+        """True when [offset, +size) of *cache* holds nothing a copy
+        into it must preserve, materialize, drop or shoot down: no
+        resident or owned page, no per-page stub, guard or parent link,
+        no pull in flight and no translation serving the range.  Read
+        off the cache's and the hardware layer's own state.  (Detached
+        stubs sourcing the range are the caller's to check.)"""
+        end = offset + size
+        span = size // self.page_size
+
+        def any_in(keys) -> bool:
+            if len(keys) <= span:
+                return any(offset <= key < end for key in keys)
+            return any(key in keys for key in
+                       range(offset, end, self.page_size))
+
+        return not (any_in(cache.pages) or any_in(cache.owned)
+                    or any_in(cache.stub_offsets)
+                    or cache.guards.overlapping(offset, size)
+                    or cache.parents.overlapping(offset, size)
+                    or self.inflight.in_transit(cache, offset, size)
+                    or self.hw.serves_range(cache, offset, size))
 
     # ------------------------------------------------------------------
     # Page lookup and write resolution (sections 4.2.2 - 4.2.3)

@@ -21,7 +21,13 @@ Bulk operations (space teardown, region invalidation, shootdown,
 copy-on-write downgrade) go through the MMU's batch primitives with a
 per-space mapping index, so tearing one space down never scans another
 space's translations — while the virtual-clock charges stay strictly
-per page, keeping the paper's cost accounting intact.
+per page, keeping the paper's cost accounting intact.  A deferred copy
+write-protects every resident source page of its fragment with
+:meth:`HardwareLayer.downgrade_pages`: one ``protect_batch`` per
+mapping space for the whole copy, one ``PAGE_PROTECT`` per page.  The
+consumer index is kept per cache, so whether any translation serves a
+cache's range (:meth:`HardwareLayer.serves_range`) costs O(offsets it
+serves), not O(range).
 """
 
 from __future__ import annotations
@@ -81,8 +87,10 @@ class HardwareLayer:
         #: mapping may present an ancestor's frame on behalf of a copy
         #: cache; when that cache later gains its own version, every
         #: translation serving the (cache, offset) must be shot down or
-        #: stale bytes stay visible.
-        self._consumers: Dict[Tuple[int, int], set] = {}
+        #: stale bytes stay visible.  Indexed cache_id -> offset ->
+        #: translations, so "does anything serve this cache's range?"
+        #: costs O(offsets served for the cache), not O(range).
+        self._consumers: Dict[int, Dict[int, set]] = {}
         self._consumer_of: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     @property
@@ -139,18 +147,29 @@ class HardwareLayer:
         page.mappings.add((space, vaddr))
         if consumer is None:
             consumer = (page.cache.cache_id, page.offset)
-        self._consumers.setdefault(consumer, set()).add((space, vaddr))
+        cache_id, offset = consumer
+        served = self._consumers.get(cache_id)
+        if served is None:
+            served = self._consumers[cache_id] = {}
+        entries = served.get(offset)
+        if entries is None:
+            entries = served[offset] = set()
+        entries.add((space, vaddr))
         self._consumer_of[(space, vaddr)] = consumer
         self.clock.charge(CostEvent.PAGE_MAP)
 
     def _drop_consumer(self, space: int, vaddr: int) -> None:
         key = self._consumer_of.pop((space, vaddr), None)
         if key is not None:
-            entries = self._consumers.get(key)
+            cache_id, offset = key
+            served = self._consumers.get(cache_id)
+            entries = served.get(offset) if served is not None else None
             if entries is not None:
                 entries.discard((space, vaddr))
                 if not entries:
-                    del self._consumers[key]
+                    del served[offset]
+                    if not served:
+                        del self._consumers[cache_id]
 
     def _forget_mapping(self, space: int, vaddr: int) -> bool:
         """Bookkeeping half of an unmap: reverse maps, consumers and
@@ -194,8 +213,19 @@ class HardwareLayer:
         """Unmap every translation serving (cache, offset), whatever
         frame backs it.  Called when the cache gains its own version of
         the page and ancestor-frame read mappings would go stale."""
-        return self._unmap_grouped(
-            list(self._consumers.get((cache.cache_id, offset), ())))
+        served = self._consumers.get(cache.cache_id)
+        if not served:
+            return 0
+        return self._unmap_grouped(list(served.get(offset, ())))
+
+    def serves_range(self, cache, offset: int, size: int) -> bool:
+        """True when some translation serves (cache, o) for an offset
+        o in [offset, offset+size) — O(offsets served for *cache*)."""
+        served = self._consumers.get(cache.cache_id)
+        if not served:
+            return False
+        end = offset + size
+        return any(offset <= served_offset < end for served_offset in served)
 
     def unmap_range(self, space: int, vaddr: int, size: int) -> int:
         """Drop all translations overlapping [vaddr, vaddr+size).
@@ -275,16 +305,31 @@ class HardwareLayer:
         return self._unmap_grouped(list(page.mappings))
 
     def downgrade_page(self, page: RealPageDescriptor, prot: Prot = Prot.READ) -> None:
-        """Set every translation of *page* to *prot* (typically
-        read-only, when the page becomes a deferred-copy source).
+        """Set every translation of *page* to *prot* (see
+        :meth:`downgrade_pages`)."""
+        self.downgrade_pages((page,), prot)
 
-        Charges one PAGE_PROTECT for the page, matching the paper's
-        per-page protection accounting; the MMU sees one protect batch
-        per space that maps the page.
+    def downgrade_pages(self, pages: Iterable[RealPageDescriptor],
+                        prot: Prot = Prot.READ) -> None:
+        """Set every translation of every page in *pages* to *prot*
+        (typically read-only, when the pages become a deferred-copy
+        source).
+
+        Charges one PAGE_PROTECT per page, matching the paper's
+        per-page protection accounting (bulk-charged with
+        :meth:`~repro.kernel.clock.VirtualClock.charge_each`, which is
+        bit-identical); the MMU sees one protect batch per space that
+        maps any of the pages, whatever their number.
         """
         by_space: Dict[int, List[Tuple[int, Prot]]] = {}
-        for space, vaddr in page.mappings:
-            by_space.setdefault(space, []).append((vaddr, prot))
+        count = 0
+        for page in pages:
+            count += 1
+            for space, vaddr in page.mappings:
+                items = by_space.get(space)
+                if items is None:
+                    items = by_space[space] = []
+                items.append((vaddr, prot))
         for space, items in by_space.items():
             self.mmu.protect_batch(space, items)
-        self.clock.charge(CostEvent.PAGE_PROTECT)
+        self.clock.charge_each(CostEvent.PAGE_PROTECT, count)

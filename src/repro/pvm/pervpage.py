@@ -32,7 +32,9 @@ class PerPageMixin:
             src_page = src.pages.get(offset)
             if src_page is not None:
                 # Source page resident: protect it read-only; stub
-                # points straight at the page descriptor.
+                # points straight at the page descriptor.  (Per page, not
+                # batched: PAGE_PROTECT interleaves with COW_STUB_INSERT
+                # and float charge order is part of the goldens.)
                 self.hw.downgrade_page(src_page)
                 stub = CowStub(dst, dst_page_offset, src_page=src_page)
             else:

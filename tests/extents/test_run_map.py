@@ -1,5 +1,7 @@
 """RunMap: run-length translation storage with frame arithmetic."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.extents import RunMap
 
 
@@ -129,6 +131,68 @@ class TestAttrRange:
         runs.set_run(0, 4, 0, "rw")
         assert runs.set_attr_range(0, 4, "rw") == 0
         assert runs.run_count == 1
+
+    def test_reprotected_interior_merges_with_both_neighbours(self):
+        runs = RunMap()
+        runs.set_run(0, 2, 0, "ro")
+        runs.set_run(2, 2, 2, "rw")
+        runs.set_run(4, 2, 4, "ro")
+        runs.set_run(6, 2, 6, "rw")
+        assert runs.run_count == 4
+        assert runs.set_attr_range(1, 8, "ro") == 4
+        assert runs.runs() == [(0, 8, 0, "ro")]
+
+
+def _maximal_runs(model):
+    """(start, count, frame, attr) maximal runs of a per-key dict."""
+    runs = []
+    for key in sorted(model):
+        frame, attr = model[key]
+        if runs:
+            start, count, base, last = runs[-1]
+            if key == start + count and frame == base + count \
+                    and attr == last:
+                runs[-1] = (start, count + 1, base, last)
+                continue
+        runs.append((key, 1, frame, attr))
+    return runs
+
+
+_KEYS = 40
+_ops = st.lists(st.tuples(
+    st.sampled_from(["set_run", "clear_range", "set_attr_range"]),
+    st.integers(0, _KEYS - 1), st.integers(0, 12),
+    st.integers(0, 3), st.sampled_from(["ro", "rw"])), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ops)
+def test_set_attr_range_matches_per_key_model(ops):
+    """set_attr_range (in-place interior, split edges, one coalescing
+    pass) against a per-key dict: same contents, same changed count,
+    and the stored runs are exactly the model's maximal runs."""
+    runs, model = RunMap(), {}
+    for op, start, count, frame, attr in ops:
+        end = start + count
+        if op == "set_run":
+            runs.set_run(start, count, frame, attr)
+            for index in range(count):
+                model[start + index] = (frame + index, attr)
+        elif op == "clear_range":
+            runs.clear_range(start, end)
+            for key in range(start, end):
+                model.pop(key, None)
+        else:
+            expected = sum(1 for key in range(start, end)
+                           if key in model and model[key][1] != attr)
+            assert runs.set_attr_range(start, end, attr) == expected
+            for key in range(start, end):
+                if key in model:
+                    model[key] = (model[key][0], attr)
+        assert as_dict(runs) == model
+        assert runs.runs() == _maximal_runs(model)
+        assert runs.run_count == len(_maximal_runs(model))
+        assert len(runs) == len(model)
 
 
 class TestQueries:

@@ -17,11 +17,12 @@ from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule,
 )
 
-from repro.errors import InvalidOperation
+from repro.errors import InvalidOperation, PageFault, ProtectionViolation
 from repro.gmi.types import Protection
 from repro.gmi.upcalls import ZeroFillProvider
 from repro.hardware.paged_mmu import TABLE_BITS, PagedMMU
-from repro.hardware.mmu import Prot
+from repro.hardware.mmu import MMU, Prot
+from repro.hardware.tlb import TLB
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB
 
@@ -52,29 +53,56 @@ def _model_runs(model):
     return runs
 
 
+class _PerItemProtectMMU(PagedMMU):
+    """Reference port: the paged tables re-protected by the base
+    class's per-item ``protect_batch`` loop."""
+
+    protect_batch = MMU.protect_batch
+
+
 class PageTableMachine(RuleBasedStateMachine):
-    """Run-length page table vs one dict entry per page."""
+    """Run-length page table vs one dict entry per page.
+
+    A second paged port, whose ``protect_batch`` is the base class's
+    per-item loop, runs every step in lockstep: walk and TLB statistics,
+    errors and table shape must match it exactly."""
 
     @initialize()
     def setup(self):
-        self.mmu = PagedMMU(PAGE)
+        self.mmu = PagedMMU(PAGE, tlb=TLB(8))
+        self.ref = _PerItemProtectMMU(PAGE, tlb=TLB(8))
         self.space = self.mmu.create_space()
+        assert self.ref.create_space() == self.space
         self.model = {}
+
+    def _both(self, name, *args):
+        """Call *name* on both ports; their outcomes must agree."""
+        outcomes = []
+        for mmu in (self.mmu, self.ref):
+            try:
+                outcomes.append(("ok", getattr(mmu, name)(self.space, *args)))
+            except InvalidOperation as exc:
+                outcomes.append(("raise", str(exc)))
+        assert outcomes[0] == outcomes[1]
+        kind, value = outcomes[0]
+        if kind == "raise":
+            raise InvalidOperation(value)
+        return value
 
     @rule(vpn=vpns, frame=frames, prot=prots)
     def map_one(self, vpn, frame, prot):
-        self.mmu.map(self.space, vpn * PAGE, frame, prot)
+        self._both("map", vpn * PAGE, frame, prot)
         self.model[vpn] = (frame, prot)
 
     @rule(vpn=vpns, count=counts, frame=frames, prot=prots)
     def map_run(self, vpn, count, frame, prot):
-        self.mmu.map_run(self.space, vpn * PAGE, count, frame, prot)
+        self._both("map_run", vpn * PAGE, count, frame, prot)
         for index in range(count):
             self.model[vpn + index] = (frame + index, prot)
 
     @rule(vpn=vpns, count=counts, frame=frames, prot=prots)
     def map_batch(self, vpn, count, frame, prot):
-        self.mmu.map_batch(self.space, [
+        self._both("map_batch", [
             (((vpn + 2 * index) % VPNS) * PAGE, frame, prot)
             for index in range(count)])
         for index in range(count):
@@ -82,12 +110,12 @@ class PageTableMachine(RuleBasedStateMachine):
 
     @rule(vpn=vpns)
     def unmap_one(self, vpn):
-        existed = self.mmu.unmap(self.space, vpn * PAGE)
+        existed = self._both("unmap", vpn * PAGE)
         assert existed == (self.model.pop(vpn, None) is not None)
 
     @rule(vpn=vpns, count=counts)
     def unmap_range(self, vpn, count):
-        dropped = self.mmu.unmap_range(self.space, vpn * PAGE, count * PAGE)
+        dropped = self._both("unmap_range", vpn * PAGE, count * PAGE)
         expected = sum(1 for index in range(count)
                        if self.model.pop(vpn + index, None) is not None)
         assert dropped == expected
@@ -95,7 +123,7 @@ class PageTableMachine(RuleBasedStateMachine):
     @rule(vpn=vpns, count=counts)
     def unmap_batch(self, vpn, count):
         addrs = [((vpn + 3 * index) % VPNS) * PAGE for index in range(count)]
-        dropped = self.mmu.unmap_batch(self.space, addrs)
+        dropped = self._both("unmap_batch", addrs)
         expected = sum(1 for addr in {a // PAGE for a in addrs}
                        if self.model.pop(addr, None) is not None)
         assert dropped == expected
@@ -103,23 +131,23 @@ class PageTableMachine(RuleBasedStateMachine):
     @rule(vpn=vpns)
     def protect_one(self, vpn):
         if vpn in self.model:
-            self.mmu.protect(self.space, vpn * PAGE, Prot.READ)
+            self._both("protect", vpn * PAGE, Prot.READ)
             frame, _ = self.model[vpn]
             self.model[vpn] = (frame, Prot.READ)
         else:
             with pytest.raises(InvalidOperation):
-                self.mmu.protect(self.space, vpn * PAGE, Prot.READ)
+                self._both("protect", vpn * PAGE, Prot.READ)
 
     @rule(vpn=vpns, count=counts, prot=prots)
     def protect_range(self, vpn, count, prot):
         hole = next((index for index in range(count)
                      if vpn + index not in self.model), None)
         if hole is None:
-            self.mmu.protect_range(self.space, vpn * PAGE, count, prot)
+            self._both("protect_range", vpn * PAGE, count, prot)
             changed = count
         else:
             with pytest.raises(InvalidOperation):
-                self.mmu.protect_range(self.space, vpn * PAGE, count, prot)
+                self._both("protect_range", vpn * PAGE, count, prot)
             # The range form re-protects the prefix below the hole,
             # exactly as the per-page loop would leave it.
             changed = hole
@@ -127,24 +155,82 @@ class PageTableMachine(RuleBasedStateMachine):
             frame, _ = self.model[vpn + index]
             self.model[vpn + index] = (frame, prot)
 
+    @precondition(lambda self: self.model)
+    @rule(picks=st.lists(st.integers(0, VPNS - 1), min_size=1, max_size=12),
+          prot=prots, mixed=st.lists(prots, max_size=3),
+          hole_at=st.one_of(st.none(), st.none(), st.integers(0, 11)))
+    def protect_batch(self, picks, prot, mixed, hole_at):
+        # Scattered (and duplicate) mapped vpns; *mixed*, when drawn,
+        # overrides the protection of the first items; *hole_at* puts
+        # an unmapped vpn mid-batch.
+        mapped = sorted(self.model)
+        batch = [mapped[pick % len(mapped)] for pick in picks]
+        unmapped = [vpn for vpn in range(VPNS) if vpn not in self.model]
+        if hole_at is not None and unmapped:
+            batch.insert(min(hole_at, len(batch)),
+                         unmapped[hole_at % len(unmapped)])
+        item_prots = mixed + [prot] * (len(batch) - len(mixed))
+        # Cache the batch's translations, so the shootdown has work.
+        for vpn in batch:
+            self.translate(vpn, write=False)
+        items = [(vpn * PAGE, item_prot)
+                 for vpn, item_prot in zip(batch, item_prots)]
+        epochs = (self.mmu.epoch, self.ref.epoch)
+        hole = next((index for index, vpn in enumerate(batch)
+                     if vpn not in self.model), None)
+        if hole is None:
+            self._both("protect_batch", items)
+            changed = len(items)
+        else:
+            with pytest.raises(InvalidOperation):
+                self._both("protect_batch", items)
+            changed = hole
+        for vpn, item_prot in zip(batch[:changed], item_prots):
+            frame, _ = self.model[vpn]
+            self.model[vpn] = (frame, item_prot)
+        moved = (self.mmu.epoch != epochs[0], self.ref.epoch != epochs[1])
+        assert moved == (changed > 0, changed > 0)
+
+    @rule(vpn=vpns, write=st.booleans())
+    def translate(self, vpn, write):
+        # Fills the TLBs, so protection changes have entries to shoot.
+        outcomes = []
+        for mmu in (self.mmu, self.ref):
+            try:
+                outcomes.append(mmu.translate(self.space, vpn * PAGE, write))
+            except (PageFault, ProtectionViolation) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+
     @invariant()
     def lookups_agree(self):
         for vpn in range(VPNS):
             mapping = self.mmu.lookup(self.space, vpn * PAGE)
+            reference = self.ref.lookup(self.space, vpn * PAGE)
             expected = self.model.get(vpn)
             if expected is None:
-                assert mapping is None
+                assert mapping is None and reference is None
             else:
                 assert mapping is not None
                 assert (mapping.frame, mapping.prot) == expected
+                assert (reference.frame, reference.prot) == expected
 
     @invariant()
     def counters_agree(self):
         scan = sum(1 for _ in self.mmu._iter_space(self.space))
         assert self.mmu._space_size(self.space) == len(self.model) == scan
-        assert self.mmu.run_count(self.space) == _model_runs(self.model)
+        assert self.mmu.run_count(self.space) == _model_runs(self.model) \
+            == self.ref.run_count(self.space)
         assert self.mmu.table_count(self.space) == \
-            len({vpn >> TABLE_BITS for vpn in self.model})
+            len({vpn >> TABLE_BITS for vpn in self.model}) \
+            == self.ref.table_count(self.space)
+
+    @invariant()
+    def statistics_agree(self):
+        for name in ("walk_level1", "walk_level2", "table_alloc",
+                     "table_free"):
+            assert self.mmu.stats.get(name) == self.ref.stats.get(name)
+        assert self.mmu.tlb.stats.snapshot() == self.ref.tlb.stats.snapshot()
 
 
 TestPageTableModel = PageTableMachine.TestCase
