@@ -7,7 +7,8 @@ that machinery once, on top of the shared residency index:
 
 * :meth:`pull` / :meth:`push` — the ranged upcall drivers.  They
   charge the unchanged *per-page* cost events and cache statistics
-  (so the Table 6/7 virtual-time goldens are bit-identical), then make
+  (so the Table 6/7 goldens — exact virtual time, event counts and
+  charge order — do not move), then make
   either one ranged provider call (``provider.batched``) or the legacy
   page-at-a-time calls;
 * :meth:`reclaim` — eviction: asks the pluggable policy for victims,

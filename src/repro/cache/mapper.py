@@ -19,10 +19,10 @@ The concurrent I/O scheduler (``repro.engine``) splits the protocol
 into a submit-time half and a byte half: :meth:`~BaseMapper.
 prepare_write` (counting + read-modify-write + :meth:`~BaseMapper.
 charge_write`) and :meth:`~BaseMapper.charge_read` always run on the
-submitting kernel thread in program order — virtual time is float
-accumulation, so charge *order* is the determinism invariant — while
-``read_range`` / ``write_range`` are charge-free store access that a
-pool thread may execute later.
+submitting kernel thread in program order — the same charges in the
+same order whatever the pool size, which the io-determinism tests pin
+by digest — while ``read_range`` / ``write_range`` are charge-free
+store access that a pool thread may execute later.
 
 Layer contract (rule 4): mappers depend only on ``repro.cache``
 interfaces — this module imports no backend and no ``repro.segments``

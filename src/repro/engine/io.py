@@ -8,9 +8,9 @@ mapper operation into the two halves the determinism contract needs:
 * the **protocol half** runs on the submitting kernel thread, in
   program order: request counting, the partial-page read-modify-write
   and *every* virtual-clock charge (``BaseMapper.prepare_write`` /
-  ``charge_read``).  Virtual time is float accumulation, so charge
-  order is the invariant that keeps the Table 6/7 goldens bit-identical
-  whether or not worker threads exist;
+  ``charge_read``).  The charges and their order are therefore the
+  same whether or not worker threads exist, which keeps virtual time,
+  counters and the goldens' charge-stream digests exact;
 * the **byte half** (``read_range`` / ``write_range``) is charge-free
   store access, and only this half may run on a pool thread.
 

@@ -15,6 +15,12 @@ one calibrated from the paper's Chorus figures, one from its Mach
 figures, so that Tables 6 and 7 can be regenerated with the measured
 event streams of our PVM (history objects) and our Mach-style baseline
 (shadow objects).
+
+Time is kept as an integer count of ticks, :data:`TICKS_PER_MS` per
+virtual millisecond.  Every shipped price is a whole number of ticks,
+so a charge adds an exact integer: the total does not depend on the
+order or grouping of charges, as in the paper's own per-event
+decomposition of virtual time (section 5.3.2).
 """
 
 from __future__ import annotations
@@ -85,18 +91,27 @@ class CostEvent(enum.Enum):
 #: Every event's counter key (its value), for the read-side helpers.
 _EVENT_KEYS = tuple(event.value for event in CostEvent)
 
+#: Clock ticks per virtual millisecond: 1/8192 ns, so that a byte of a
+#: page copy (``BCOPY_BYTE``, a page copy / 8192) is a whole tick like
+#: every other shipped price.
+TICKS_PER_MS = 10**6 * 8192
+
 
 class CostModel:
     """Maps :class:`CostEvent` to a cost in virtual milliseconds.
 
     Unpriced events cost zero; this lets functional tests run with an
     empty model while benchmarks install a calibrated profile.
+    ``ticks`` holds each price rounded once to whole clock ticks.
     """
 
     def __init__(self, prices: Optional[Dict[CostEvent, float]] = None,
                  name: str = "free"):
         self.name = name
         self._prices: Dict[CostEvent, float] = dict(prices or {})
+        self.ticks: Dict[CostEvent, int] = {
+            event: round(cost * TICKS_PER_MS)
+            for event, cost in self._prices.items()}
 
     def price(self, event: CostEvent) -> float:
         """Return the cost of one occurrence of *event*, in virtual ms."""
@@ -139,7 +154,7 @@ class VirtualClock:
     def __init__(self, model: Optional[CostModel] = None,
                  registry: Optional[MetricsRegistry] = None):
         self.model = model or CostModel()
-        self._now_ms = 0.0
+        self._ticks = 0
         self.registry = registry or MetricsRegistry()
         self._listeners = ()
         self._capture: Optional[list] = None
@@ -148,16 +163,16 @@ class VirtualClock:
 
     def now(self) -> float:
         """Current virtual time in milliseconds."""
-        return self._now_ms
+        return self._ticks / TICKS_PER_MS
 
     def charge(self, event: CostEvent, count: int = 1) -> float:
-        """Record *count* occurrences of *event*; return the cost added."""
+        """Record *count* occurrences of *event*; return the cost added
+        in virtual ms."""
         if count <= 0:
             return 0.0
         if self._capture is not None:
             self._capture.append((event, count))
             return 0.0
-        start = self._now_ms
         registry = self.registry
         if registry.enabled:
             # A paused registry drops the increment inside inc()
@@ -166,45 +181,19 @@ class VirtualClock:
             # stored value: ``.value`` is a descriptor call that costs
             # more than the increment itself.
             registry.inc(event._value_, count)
-        cost = self.model.price(event) * count
-        self._now_ms = start + cost
+        start = self._ticks
+        cost = self.model.ticks.get(event, 0) * count
+        self._ticks = start + cost
         if self._listeners:
+            start_ms = start / TICKS_PER_MS
             for listener in self._listeners:
-                listener(start, event, count)
-        return cost
+                listener(start_ms, event, count)
+        return cost / TICKS_PER_MS
 
     def charge_each(self, event: CostEvent, count: int) -> float:
-        """Charge *count* occurrences of *event* exactly as *count*
-        sequential :meth:`charge` calls would — bit-identical virtual
-        time — while moving the counter once.
-
-        ``charge(event, count)`` advances time by ``price * count`` in
-        one float operation; N sequential unit charges accumulate
-        ``now += price`` N times, which is *not* the same float (IEEE
-        addition is not associative).  Bulk paths that replace a
-        per-page loop use this so the Table 6/7 goldens stay
-        bit-identical.  The per-unit accumulation still runs, but with
-        no dict lookups or listener checks per unit; when the event is
-        unpriced only the counter moves.  With listeners or a capture
-        active it falls back to literal unit charges so observers see
-        the same stream they always did.
-        """
-        if count <= 0:
-            return 0.0
-        if self._capture is not None or self._listeners:
-            total = 0.0
-            for _ in range(count):
-                total += self.charge(event)
-            return total
-        start = self._now_ms
-        self.registry.inc(event._value_, count)
-        price = self.model.price(event)
-        if price:
-            now = start
-            for _ in range(count):
-                now += price
-            self._now_ms = now
-        return self._now_ms - start
+        """Synonym of :meth:`charge`, kept for the per-page bulk paths
+        and the profilers that wrap it by name."""
+        return self.charge(event, count)
 
     def capture(self) -> "CaptureRegion":
         """Divert charges into a list instead of applying them.
@@ -244,7 +233,7 @@ class VirtualClock:
         if self._capture is not None:
             self._capture.append((None, milliseconds))
             return
-        self._now_ms += milliseconds
+        self._ticks += round(milliseconds * TICKS_PER_MS)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -255,7 +244,7 @@ class VirtualClock:
     def reset(self) -> None:
         """Zero the clock and all event counts (other counters in a
         shared registry are untouched); bumps the registry generation."""
-        self._now_ms = 0.0
+        self._ticks = 0
         self.registry.drop_counters(_EVENT_KEYS)
 
     def snapshot(self) -> Dict[str, int]:
@@ -264,7 +253,7 @@ class VirtualClock:
         return {key: values[key] for key in _EVENT_KEYS if key in values}
 
     def __repr__(self) -> str:
-        return f"VirtualClock(t={self._now_ms:.3f}ms, model={self.model.name})"
+        return f"VirtualClock(t={self.now():.3f}ms, model={self.model.name})"
 
 
 class CaptureRegion:
@@ -310,8 +299,10 @@ class ClockRegion:
         self.elapsed = 0.0
 
     def __enter__(self) -> "ClockRegion":
-        self.start = self.clock.now()
+        self._start_ticks = self.clock._ticks
+        self.start = self._start_ticks / TICKS_PER_MS
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.elapsed = self.clock.now() - self.start
+        self.elapsed = ((self.clock._ticks - self._start_ticks)
+                        / TICKS_PER_MS)

@@ -54,6 +54,7 @@ class ShadowMixin:
         # first — their identity moves to the original object (in real
         # Mach the whole memory object, backing store included, changes
         # hands; our per-page transplant needs the bytes resident).
+        sunk = []
         for offset in page_range(src_offset, size, self.page_size):
             page = src.pages.get(offset)
             if page is None and offset in src.owned:
@@ -68,9 +69,8 @@ class ShadowMixin:
             self.residency.rebind(page, original, offset)
             original.owned.add(offset)
             self.global_map.insert(original, offset, page)
-            # Per page, not batched: PAGE_PROTECT interleaves with the
-            # _break_stubs charges; float charge order is golden.
-            self.hw.downgrade_page(page)
+            sunk.append(page)
+        self.hw.downgrade_pages(sunk)
 
         # The original inherits the source's backing chain for the range.
         for removed in src.parents.remove_range(src_offset, size):

@@ -20,8 +20,9 @@ under ``repro.pvm`` / ``repro.mach`` / ``repro.minimal`` imports
 Bulk operations (space teardown, region invalidation, shootdown,
 copy-on-write downgrade) go through the MMU's batch primitives with a
 per-space mapping index, so tearing one space down never scans another
-space's translations — while the virtual-clock charges stay strictly
-per page, keeping the paper's cost accounting intact.  A deferred copy
+space's translations — while the virtual clock is still charged per
+page (one charge of *n* pages costs exactly *n* unit charges), keeping
+the paper's cost accounting intact.  A deferred copy
 write-protects every resident source page of its fragment with
 :meth:`HardwareLayer.downgrade_pages`: one ``protect_batch`` per
 mapping space for the whole copy, one ``PAGE_PROTECT`` per page.  The
@@ -233,34 +234,23 @@ class HardwareLayer:
         Charges one REGION_INVALIDATE_PAGE per *virtual* page in the
         range — invalidating a region costs work proportional to its
         size even when nothing is resident (section 5.3.2's observed
-        create/destroy scaling) — and one PAGE_UNMAP per translation
-        actually dropped, interleaved exactly as the per-page loop
-        interleaved them (gap pages are bulk-charged with
-        :meth:`~repro.kernel.clock.VirtualClock.charge_each`, which is
-        bit-identical).  Bookkeeping cost is O(translations actually
-        resident in the range), never O(range): the resident set comes
-        from the per-space index, so invalidating a million-page region
-        with three translations touches three entries and makes one
-        batched MMU call.
+        create/destroy scaling) — in one charge, and one PAGE_UNMAP
+        per translation actually dropped.  Bookkeeping cost is
+        O(translations actually resident in the range), never O(range):
+        the resident set comes from the per-space index, so
+        invalidating a million-page region with three translations
+        touches three entries and makes one batched MMU call.
         """
         end = vaddr + size
         start = self._page_vaddr(vaddr)
         page_size = self.page_size
         if end <= start:
             return 0
-        total_pages = (end - start + page_size - 1) // page_size
         victims = self.resident_addresses(space, vaddr, size)
-        cursor = start
         for addr in victims:
-            gap = (addr - cursor) // page_size
-            if gap:
-                self.clock.charge_each(CostEvent.REGION_INVALIDATE_PAGE, gap)
             self._forget_mapping(space, addr)
-            self.clock.charge(CostEvent.REGION_INVALIDATE_PAGE)
-            cursor = addr + page_size
-        trailing = total_pages - (cursor - start) // page_size
-        if trailing:
-            self.clock.charge_each(CostEvent.REGION_INVALIDATE_PAGE, trailing)
+        self.clock.charge_each(CostEvent.REGION_INVALIDATE_PAGE,
+                               (end - start + page_size - 1) // page_size)
         if victims:
             self.mmu.unmap_batch(space, victims)
         return len(victims)
@@ -316,10 +306,9 @@ class HardwareLayer:
         source).
 
         Charges one PAGE_PROTECT per page, matching the paper's
-        per-page protection accounting (bulk-charged with
-        :meth:`~repro.kernel.clock.VirtualClock.charge_each`, which is
-        bit-identical); the MMU sees one protect batch per space that
-        maps any of the pages, whatever their number.
+        per-page protection accounting, in one charge; the MMU sees one
+        protect batch per space that maps any of the pages, whatever
+        their number.
         """
         by_space: Dict[int, List[Tuple[int, Prot]]] = {}
         count = 0

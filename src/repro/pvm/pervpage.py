@@ -26,16 +26,15 @@ class PerPageMixin:
                                 dst: PvmCache, dst_offset: int,
                                 size: int) -> None:
         self._prepare_destination(dst, dst_offset, size)
+        # Resident source pages are protected read-only, all at once.
+        self.hw.downgrade_pages(src.resident_in(src_offset, size))
         for index, offset in enumerate(
                 page_range(src_offset, size, self.page_size)):
             dst_page_offset = dst_offset + index * self.page_size
             src_page = src.pages.get(offset)
             if src_page is not None:
-                # Source page resident: protect it read-only; stub
-                # points straight at the page descriptor.  (Per page, not
-                # batched: PAGE_PROTECT interleaves with COW_STUB_INSERT
-                # and float charge order is part of the goldens.)
-                self.hw.downgrade_page(src_page)
+                # Source page resident: the stub points straight at
+                # the page descriptor.
                 stub = CowStub(dst, dst_page_offset, src_page=src_page)
             else:
                 # Not resident: the stub carries (cache, offset) instead.

@@ -10,7 +10,6 @@ in use, never on the size of segments or address spaces.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from typing import Dict, Optional
 
@@ -441,17 +440,9 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
     # Caches (Table 1)
     # ------------------------------------------------------------------
 
-    def cache_create(self, provider: SegmentProvider, *args, segment=None,
+    def cache_create(self, provider: SegmentProvider, *, segment=None,
                      name: Optional[str] = None,
                      is_history: bool = False) -> PvmCache:
-        if args:
-            warnings.warn(
-                "positional arguments to cache_create beyond the provider "
-                "are deprecated; pass segment=/name=/is_history= as keywords",
-                DeprecationWarning, stacklevel=2)
-            segment = args[0] if len(args) > 0 else segment
-            name = args[1] if len(args) > 1 else name
-            is_history = args[2] if len(args) > 2 else is_history
         with self.lock:
             self.clock.charge(CostEvent.CACHE_CREATE)
             cache = PvmCache(self, self._next_cache_id, provider,

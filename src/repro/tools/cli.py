@@ -259,7 +259,8 @@ def cmd_layers(_args) -> int:
 
 def cmd_verify(args) -> int:
     """One-stop gate: layer contract + obs-schema consistency + live
-    snapshot validation + the bench wall-time regression gate."""
+    snapshot validation + doc drift + the bench wall-time regression
+    gate."""
     import json
     import pathlib
     import re
@@ -270,6 +271,7 @@ def cmd_verify(args) -> int:
     )
     from repro.bench.harness import compare, format_compare, load, run_suite
     from repro.obs.schema import SNAPSHOT_SCHEMA, validate
+    from repro.tools.check_docs import doc_drift
     from repro.units import MB
 
     failures: List[str] = []
@@ -305,6 +307,18 @@ def cmd_verify(args) -> int:
         else:
             print(f"{name}: live snapshot validates")
 
+    print("== doc drift ==")
+    if (repo_root / "DESIGN.md").exists():
+        problems = doc_drift(repo_root)
+        for problem in problems:
+            print(problem)
+        if problems:
+            failures.append("doc drift")
+        else:
+            print("docs name only modules that exist")
+    else:
+        print("DESIGN.md not found; skipping the doc-drift check")
+
     print("== bench regression gate ==")
     baseline_path = args.baseline
     if baseline_path is None:
@@ -326,7 +340,7 @@ def cmd_verify(args) -> int:
     if failures:
         print(f"\nverify FAILED: {', '.join(failures)}")
         return 1
-    print("\nverify ok: layers + obs schema + bench gate all pass")
+    print("\nverify ok: layers + obs schema + docs + bench gate all pass")
     return 0
 
 
@@ -417,7 +431,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="free-form label stored in the document meta")
     verify = subparsers.add_parser(
         "verify",
-        help="run the layer, obs-schema and bench gates in one shot")
+        help="run the layer, obs-schema, doc-drift and bench gates "
+             "in one shot")
     verify.add_argument("--baseline", default=None, metavar="FILE",
                         help="bench baseline (default: newest "
                              "BENCH_*.json at the repo root)")

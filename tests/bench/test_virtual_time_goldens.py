@@ -1,33 +1,22 @@
 """Golden-file lock on the Table 6/7 virtual times.
 
-The virtual clock accumulates floating-point costs event by event, so
-its totals are sensitive to the *order and grouping* of charges — not
-just their counts.  That makes the full grids a fingerprint of the
-mechanism event stream: any refactor that reorders charges, merges
-per-page charges into bulk ones, or drops/duplicates an event moves
-some cell.  The goldens were captured from the pre-engine fault path
-(tests/goldens/virtual_time_tables.json); the staged pipeline and the
-batched hardware layer must reproduce every cell **bit-identically**
-(``==`` on the floats, no tolerance).
+The virtual clock keeps integer ticks, so a cell's total no longer
+depends on the order or grouping of its charges.  Each golden cell
+therefore pins three things, all compared exactly:
+
+* ``virtual_ms`` — the measured window's virtual time (``==`` on the
+  float, no tolerance);
+* ``counts`` — how many times each event was charged over the whole
+  cell run (setup included);
+* ``charges_sha256`` — a digest of that run's charge stream in order,
+  adjacent same-event charges merged (:mod:`tests.charge_stream`), so
+  a refactor that reorders the mechanism's events moves it while one
+  that merges per-page charges into a bulk charge does not.
 
 If a deliberate cost-model or mechanism change moves these numbers,
-regenerate the file with the snippet in its own docstring below and
-say so in the commit message.
+regenerate the file and say so in the commit message::
 
-Regeneration::
-
-    PYTHONPATH=src python - <<'EOF'
-    import json
-    from repro.bench.experiments import cow_table, zero_fill_table
-    grids = {}
-    for system in ("chorus", "mach"):
-        grids[f"table6_{system}"] = {f"{kb},{p}": v for (kb, p), v
-                                     in zero_fill_table(system).items()}
-        grids[f"table7_{system}"] = {f"{kb},{p}": v for (kb, p), v
-                                     in cow_table(system).items()}
-    with open("tests/goldens/virtual_time_tables.json", "w") as fh:
-        json.dump(grids, fh, indent=2, sort_keys=True)
-    EOF
+    PYTHONPATH=src python -m tests.bench.test_virtual_time_goldens
 """
 
 import json
@@ -35,13 +24,13 @@ import pathlib
 
 import pytest
 
-from repro.bench.experiments import (
-    cow_table, run_cow_cell, run_zero_fill_cell, zero_fill_table,
-)
+from repro.bench import experiments
+from repro.bench.experiments import run_cow_cell, run_zero_fill_cell
+from repro.bench.tables import REGION_SIZES_KB, TOUCH_COUNTS, cell_valid
+from tests.charge_stream import ChargeStream
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parents[1]
                / "goldens" / "virtual_time_tables.json")
-GOLDENS = json.loads(GOLDEN_PATH.read_text())
 
 TABLE_RUNNERS = {
     "table6": run_zero_fill_cell,
@@ -49,28 +38,69 @@ TABLE_RUNNERS = {
 }
 
 
+def record_cell(prefix: str, system: str, region_kb: int,
+                pages: int) -> dict:
+    """Run one cell with a :class:`ChargeStream` on its clock; return
+    its virtual time, event counts and charge-stream digest."""
+    factory = experiments.NUCLEUS_FACTORIES[system]
+    stream = ChargeStream()
+
+    def listened():
+        nucleus = factory()
+        nucleus.clock.add_listener(stream)
+        return nucleus
+
+    experiments.NUCLEUS_FACTORIES[system] = listened
+    try:
+        virtual_ms = TABLE_RUNNERS[prefix](system, region_kb, pages)
+    finally:
+        experiments.NUCLEUS_FACTORIES[system] = factory
+    return {"virtual_ms": virtual_ms, **stream.record()}
+
+
+def _grid():
+    """The (region_kb, pages) cells of one Table 6/7 grid."""
+    return [(kb, pages) for kb in REGION_SIZES_KB for pages in TOUCH_COUNTS
+            if cell_valid(kb, pages)]
+
+
+def record_all() -> dict:
+    return {f"{prefix}_{system}": {
+                f"{kb},{pages}": record_cell(prefix, system, kb, pages)
+                for kb, pages in _grid()}
+            for prefix in TABLE_RUNNERS for system in ("chorus", "mach")}
+
+
 def _cells():
-    for table, cells in sorted(GOLDENS.items()):
+    goldens = json.loads(GOLDEN_PATH.read_text())
+    for table, cells in sorted(goldens.items()):
         prefix, system = table.split("_")
-        for key, value in sorted(cells.items()):
+        for key, expected in sorted(cells.items()):
             region_kb, pages = (int(part) for part in key.split(","))
-            yield pytest.param(prefix, system, region_kb, pages, value,
+            yield pytest.param(prefix, system, region_kb, pages, expected,
                                id=f"{table}-{key}")
 
 
 @pytest.mark.parametrize(
     ("prefix", "system", "region_kb", "pages", "expected"), list(_cells()))
 def test_cell_bit_identical(prefix, system, region_kb, pages, expected):
-    measured = TABLE_RUNNERS[prefix](system, region_kb, pages)
+    measured = record_cell(prefix, system, region_kb, pages)
     # Exact equality on purpose: see the module docstring.
-    assert measured == expected
+    assert measured["virtual_ms"] == expected["virtual_ms"]
+    assert measured["counts"] == expected["counts"]
+    assert measured["charges_sha256"] == expected["charges_sha256"]
 
 
 def test_goldens_cover_the_full_grids():
     """The golden file must not silently go stale against the grid
     definition (new sizes/touch counts need a regeneration)."""
-    for system in ("chorus", "mach"):
-        live6 = {f"{kb},{p}" for kb, p in zero_fill_table(system)}
-        live7 = {f"{kb},{p}" for kb, p in cow_table(system)}
-        assert set(GOLDENS[f"table6_{system}"]) == live6
-        assert set(GOLDENS[f"table7_{system}"]) == live7
+    goldens = json.loads(GOLDEN_PATH.read_text())
+    live = {f"{kb},{pages}" for kb, pages in _grid()}
+    assert set(goldens) == {f"{prefix}_{system}" for prefix in TABLE_RUNNERS
+                            for system in ("chorus", "mach")}
+    assert all(set(cells) == live for cells in goldens.values())
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps(record_all(), indent=2, sort_keys=True) + "\n")

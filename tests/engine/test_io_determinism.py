@@ -7,6 +7,9 @@ at ``io_threads=0`` (the strict synchronous pass-through) and a run at
 ``io_threads=2`` (the shipping configuration) must agree bit-for-bit on
 
 * the virtual clock (both the timed region and the cumulative total),
+* the order of the clock's charges (a digest of the charge stream,
+  :mod:`tests.charge_stream` — the integer clock's totals alone would
+  not see a reordering),
 * the user-visible bytes, and
 * every accounting counter (faults, pulls, charges, hits/misses).
 
@@ -21,6 +24,7 @@ import pytest
 
 from repro.bench.harness import WORKLOADS
 from repro.kernel.clock import ClockRegion
+from tests.charge_stream import ChargeStream
 
 #: Counters that legitimately differ between the synchronous and the
 #: threaded run: queue/deferral mechanics, not accounting.
@@ -38,6 +42,8 @@ def _run(workload_name: str, backend: str, io_threads: int) -> dict:
     workload = WORKLOADS[workload_name]
     state = workload.setup(backend, None, io_threads)
     vm = state["vm"]
+    stream = ChargeStream()
+    state["clock"].add_listener(stream)
     with ClockRegion(state["clock"]) as timer:
         workload.body(state)
     io = getattr(vm, "io", None)
@@ -49,6 +55,7 @@ def _run(workload_name: str, backend: str, io_threads: int) -> dict:
     observed = {
         "body_virtual_ms": timer.elapsed,
         "total_virtual_ms": snapshot["meta"]["virtual_ms"],
+        "charges_sha256": stream.hexdigest(),
         "counters": _accounting_counters(snapshot),
         "deferred": deferred,
         "bytes": _visible_bytes(state),
@@ -68,10 +75,11 @@ def _visible_bytes(state: dict) -> bytes:
 
 
 def _assert_identical(synchronous: dict, threaded: dict) -> None:
-    # Exact float equality is the point: the charge sequences are the
-    # same floats added in the same order, not merely close.
+    # Exact equality is the point, and the digest checks that the
+    # charges landed in the same order, not merely summed the same.
     assert threaded["body_virtual_ms"] == synchronous["body_virtual_ms"]
     assert threaded["total_virtual_ms"] == synchronous["total_virtual_ms"]
+    assert threaded["charges_sha256"] == synchronous["charges_sha256"]
     assert threaded["bytes"] == synchronous["bytes"]
     assert threaded["counters"] == synchronous["counters"]
 

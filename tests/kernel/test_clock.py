@@ -1,8 +1,15 @@
 """Unit tests for the virtual clock and cost model."""
 
-import pytest
+from fractions import Fraction
 
-from repro.kernel.clock import ClockRegion, CostEvent, CostModel, VirtualClock
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bench.costmodel import CHORUS_SUN360, MACH_SUN360
+from repro.kernel.clock import (
+    TICKS_PER_MS, ClockRegion, CostEvent, CostModel, VirtualClock,
+)
 
 
 class TestCostModel:
@@ -76,10 +83,10 @@ class TestVirtualClock:
 
 
 class TestChargeEach:
-    """charge_each must be bit-identical to N sequential unit charges
-    (float addition is not associative, so price*N is NOT the same)."""
+    """charge_each is a synonym of charge: one grouped charge, exactly
+    equal to N sequential unit charges."""
 
-    PRICE = 0.087            # deliberately not exactly representable
+    PRICE = 0.087            # not exact in binary, but a whole tick count
 
     def test_bit_identical_to_unit_charges(self):
         model = CostModel({CostEvent.REGION_INVALIDATE_PAGE: self.PRICE})
@@ -89,14 +96,6 @@ class TestChargeEach:
             loop.charge(CostEvent.REGION_INVALIDATE_PAGE)
         assert bulk.now() == loop.now()          # exact, not approx
         assert bulk.count(CostEvent.REGION_INVALIDATE_PAGE) == 1000
-
-    def test_differs_from_grouped_charge(self):
-        # Sanity: the whole reason charge_each exists.
-        model = CostModel({CostEvent.REGION_INVALIDATE_PAGE: self.PRICE})
-        grouped, each = VirtualClock(model), VirtualClock(model)
-        grouped.charge(CostEvent.REGION_INVALIDATE_PAGE, 1000)
-        each.charge_each(CostEvent.REGION_INVALIDATE_PAGE, 1000)
-        assert grouped.now() != each.now()
 
     def test_unpriced_event_moves_only_the_counter(self):
         clock = VirtualClock()
@@ -110,20 +109,74 @@ class TestChargeEach:
         assert clock.charge_each(CostEvent.PAGE_MAP, -3) == 0.0
         assert clock.now() == 0.0
 
-    def test_listeners_see_unit_charges(self):
-        model = CostModel({CostEvent.PAGE_MAP: 1.0})
-        clock = VirtualClock(model)
+    def test_listeners_see_one_grouped_charge(self):
+        clock = VirtualClock(CostModel({CostEvent.PAGE_MAP: 1.0}))
         seen = []
         clock.add_listener(lambda t, e, c: seen.append((t, e, c)))
+        clock.charge(CostEvent.PAGE_MAP)
         clock.charge_each(CostEvent.PAGE_MAP, 3)
         assert seen == [(0.0, CostEvent.PAGE_MAP, 1),
-                        (1.0, CostEvent.PAGE_MAP, 1),
-                        (2.0, CostEvent.PAGE_MAP, 1)]
+                        (1.0, CostEvent.PAGE_MAP, 3)]
+        assert clock.now() == 4.0
 
-    def test_capture_records_unit_charges(self):
+    def test_capture_records_one_grouped_charge(self):
         clock = VirtualClock(CostModel({CostEvent.PAGE_MAP: 1.0}))
         with clock.capture() as region:
             clock.charge_each(CostEvent.PAGE_MAP, 2)
-        assert region.charges == [(CostEvent.PAGE_MAP, 1),
-                                  (CostEvent.PAGE_MAP, 1)]
+        assert region.charges == [(CostEvent.PAGE_MAP, 2)]
         assert clock.now() == 0.0
+
+
+SHIPPED = (CHORUS_SUN360, MACH_SUN360)
+
+
+class TestIntegerTime:
+    """Virtual time is an integer tick count: charges commute."""
+
+    @pytest.mark.parametrize("model", SHIPPED, ids=lambda m: m.name)
+    def test_every_shipped_price_is_a_whole_tick(self, model):
+        # The decimal price, not its binary float, must be a whole
+        # number of ticks; otherwise the clock would round it silently.
+        for event in CostEvent:
+            exact = Fraction(repr(model.price(event))) * TICKS_PER_MS
+            assert exact.denominator == 1, (event, model.price(event))
+            assert model.ticks.get(event, 0) == exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_permuted_and_regrouped_charges_agree(self, data):
+        model = data.draw(st.sampled_from(SHIPPED))
+        events = sorted(model.priced_events(), key=lambda e: e.value)
+        units = data.draw(st.lists(st.sampled_from(events), max_size=60))
+        shuffled = data.draw(st.permutations(units))
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(shuffled),
+                                  max_size=len(shuffled)))
+        in_order, regrouped = VirtualClock(model), VirtualClock(model)
+        for event in units:
+            in_order.charge(event)
+        # Charge the permutation with adjacent same-event units merged
+        # into one charge wherever no cut falls between them.
+        run_event, run_count = None, 0
+        for event, cut in zip(shuffled, cuts):
+            if event is run_event and not cut:
+                run_count += 1
+                continue
+            if run_event is not None:
+                regrouped.charge(run_event, run_count)
+            run_event, run_count = event, 1
+        if run_event is not None:
+            regrouped.charge(run_event, run_count)
+        assert regrouped.now() == in_order.now()
+        assert regrouped.snapshot() == in_order.snapshot()
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=st.sampled_from(SHIPPED),
+           event=st.sampled_from(list(CostEvent)),
+           count=st.integers(min_value=0, max_value=5000))
+    def test_grouped_charge_equals_unit_charges(self, model, event, count):
+        grouped, units = VirtualClock(model), VirtualClock(model)
+        grouped.charge(event, count)
+        for _ in range(count):
+            units.charge(event)
+        assert grouped.now() == units.now()
+        assert grouped.snapshot() == units.snapshot()

@@ -5,9 +5,10 @@ children exec a tool, read its text, write its data and touch a sparse
 heap, the rest stay subshells that read and write inherited pages.
 Every fork is a history-object deferred copy, every exit a teardown,
 so the script pins the event stream of the fork path: the exact
-``metrics_snapshot()`` counters (all but the segment-labeled series)
-and the virtual clock, compared with ``==`` (float totals depend on
-the order and grouping of charges).
+``metrics_snapshot()`` counters (all but the segment-labeled series),
+the virtual clock, compared with ``==``, and a digest of the clock's
+charge stream in order (:mod:`tests.charge_stream`; the integer clock's
+total does not depend on order, so the digest is what pins it).
 
 If a deliberate mechanism change moves these numbers, regenerate the
 golden and say so in the commit message::
@@ -24,6 +25,7 @@ from repro.mix import ProcessManager, ProgramStore
 from repro.mix.program import Program
 from repro.nucleus import Nucleus
 from repro.segments import MemoryMapper
+from tests.charge_stream import ChargeStream
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parents[1]
                / "goldens" / "fork_exec_mix.json")
@@ -38,9 +40,12 @@ HEAP_PAGES = 64
 
 def run_script() -> dict:
     """Run the script on a fresh SUN-3/60 nucleus; return the virtual
-    time and the counters of the final metrics snapshot."""
+    time, the counters of the final metrics snapshot and the charge
+    stream's digest."""
     nucleus = Nucleus(cost_model=CHORUS_SUN360, memory_size=SUN360_MEMORY,
                       page_size=SUN360_PAGE, tlb_entries=64)
+    stream = ChargeStream()
+    nucleus.clock.add_listener(stream)
     page = nucleus.vm.page_size
     mapper = MemoryMapper()
     nucleus.register_mapper(mapper)
@@ -82,7 +87,8 @@ def run_script() -> dict:
     counters = {name: value
                 for name, value in snapshot["counters"].items()
                 if "segment=" not in name}
-    return {"virtual_ms": nucleus.clock.now(), "counters": counters}
+    return {"virtual_ms": nucleus.clock.now(), "counters": counters,
+            "charges_sha256": stream.hexdigest()}
 
 
 def test_fork_exec_script_matches_golden():
@@ -91,6 +97,7 @@ def test_fork_exec_script_matches_golden():
     # Exact equality on purpose: see the module docstring.
     assert measured["virtual_ms"] == golden["virtual_ms"]
     assert measured["counters"] == golden["counters"]
+    assert measured["charges_sha256"] == golden["charges_sha256"]
 
 
 if __name__ == "__main__":

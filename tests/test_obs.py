@@ -542,22 +542,21 @@ class TestWallStamps:
 # ---------------------------------------------------------------------------
 
 class TestDeprecatedPositionalArgs:
-    def test_region_create_positional_warns_and_works(self, vm):
+    def test_region_create_positional_is_rejected(self, vm):
         cache = vm.cache_create(ZeroFillProvider(), name="d")
         context = vm.context_create("d")
-        with pytest.warns(DeprecationWarning):
-            region = context.region_create(0x40000, PAGE,
-                                           Protection.RW, cache, 0)
-        assert region.protection is Protection.RW
-        assert region.cache is cache
+        with pytest.raises(TypeError):
+            context.region_create(0x40000, PAGE, Protection.RW, cache, 0)
 
-    def test_cache_copy_positional_warns_and_works(self, vm):
+    def test_cache_copy_positional_is_rejected(self, vm):
         src = vm.cache_create(ZeroFillProvider(), name="s")
         dst = vm.cache_create(ZeroFillProvider(), name="t")
-        src.write(0, b"abc")
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(TypeError):
             src.copy(0, dst, 0, PAGE, CopyPolicy.EAGER)
-        assert dst.read(0, 3) == b"abc"
+
+    def test_cache_create_positional_is_rejected(self, vm):
+        with pytest.raises(TypeError):
+            vm.cache_create(ZeroFillProvider(), None, "n")
 
     def test_keyword_form_stays_silent(self, vm):
         cache = vm.cache_create(ZeroFillProvider(), name="q")
